@@ -2,8 +2,12 @@
 
 All JSON output is canonical (sorted keys, two-space indent) and versioned
 with a "schema": "tog/1" field, so identical inputs and configuration yield
-byte-identical artifacts. Exit codes: 0 success, 1 validation failure (with a
-machine-readable violation list on stdout), 2 resource cap exceeded.
+byte-identical artifacts. Every subcommand writes it through one canonical
+encoder, ``_canonical``, whose bytes equal
+``json.dumps(obj, sort_keys=True, indent=2)``; the property test
+``tests/test_cli.py::test_canonical_matches_json_dumps`` guards this. Exit
+codes: 0 success, 1 validation failure (with a machine-readable violation
+list on stdout), 2 resource cap exceeded.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Optional
 
 from .multigraph import Multigraph, SurgeryError, components, is_two_connected
@@ -55,15 +60,64 @@ class _Failure(Exception):
 def _load_json(path: str) -> dict:
     try:
         if path == "-":
-            return json.load(sys.stdin)
-        with open(path) as fh:
-            return json.load(fh)
+            data = json.load(sys.stdin)
+        else:
+            with open(path) as fh:
+                data = json.load(fh)
     except (OSError, json.JSONDecodeError) as ex:
         raise _Failure(1, [f"MalformedInput: {ex}"])
+    if not isinstance(data, dict):
+        raise _Failure(1, [f"MalformedInput: expected a JSON object, got {type(data).__name__}"])
+    return data
+
+
+_INF = float("inf")
+
+
+def _canonical(obj, nl: str = "\n") -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2)`` for JSON values with str keys.
+
+    With ``indent`` set, ``json`` runs its pure-Python generator encoder; this
+    makes one call per container and encodes strings in C, inline, so a list
+    of strings costs one join. ``nl`` is the newline plus the current indent.
+    """
+    t = type(obj)
+    if t is str:
+        return _encode_str(obj)
+    if t is dict:
+        if not obj:
+            return "{}"
+        inner = nl + "  "
+        body = ("," + inner).join([
+            _encode_str(k) + ": " + (_encode_str(v) if type(v) is str else _canonical(v, inner))
+            for k, v in sorted(obj.items())
+        ])
+        return "{" + inner + body + nl + "}"
+    if t is list or t is tuple:
+        if not obj:
+            return "[]"
+        inner = nl + "  "
+        body = ("," + inner).join(
+            [_encode_str(x) if type(x) is str else _canonical(x, inner) for x in obj]
+        )
+        return "[" + inner + body + nl + "]"
+    if obj is None:
+        return "null"
+    if t is bool:
+        return "true" if obj else "false"
+    if t is int:
+        return int.__repr__(obj)
+    if t is float:
+        if obj != obj:
+            return "NaN"
+        if obj == _INF or obj == -_INF:
+            return "Infinity" if obj > 0 else "-Infinity"
+        return float.__repr__(obj)
+    raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
 
 
 def _emit_json(obj) -> None:
-    print(json.dumps(obj, sort_keys=True, indent=2))
+    sys.stdout.write(_canonical(obj) + "\n")
 
 
 def _parse_fraction(s: str) -> Fraction:
@@ -114,7 +168,10 @@ def _cmd_whitehead(args) -> int:
         raise _Failure(1, ["MalformedInput: labels/words length mismatch"])
     words = [cyclically_reduce(w, lab) for w, lab in zip(raw_words, labels)]
     if args.multiplicities:
-        mults = [int(s) for s in args.multiplicities.split(",")]
+        try:
+            mults = [int(s) for s in args.multiplicities.split(",")]
+        except ValueError as ex:
+            raise _Failure(1, [f"MalformedInput: bad multiplicity: {ex}"])
         if len(mults) != len(words):
             raise _Failure(1, ["MalformedInput: multiplicities/words length mismatch"])
         specs = [PeripheralSpec(w, n) for w, n in zip(words, mults)]

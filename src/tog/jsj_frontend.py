@@ -15,8 +15,8 @@ orientable one.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Optional, Union
 
 from .multigraph import Multigraph, SurgeryError, theta_graph
 from .rcs import GraphicalConnectingSystem

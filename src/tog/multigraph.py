@@ -16,9 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional
+from typing import TYPE_CHECKING, Iterable, Mapping, Optional
 
-import networkx as nx
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 class SurgeryError(ValueError):
@@ -139,10 +140,16 @@ class Multigraph:
     def from_json_dict(cls, data: dict) -> "Multigraph":
         if data.get("schema") != "tog/1":
             raise SurgeryError("missing or unsupported schema tag (expected 'tog/1')")
+        vertices = data.get("vertices", [])
+        if not isinstance(vertices, list) or not all(isinstance(v, str) for v in vertices):
+            raise SurgeryError("'vertices' must be a list of strings")
         edges = {}
         for rec in data.get("edges", []):
-            edges[rec["id"]] = (rec["ends"][0], rec["ends"][1])
-        return cls(data.get("vertices", []), edges)
+            e, ends = rec["id"], rec["ends"]
+            if not isinstance(ends, list) or len(ends) != 2:
+                raise SurgeryError(f"edge {e!r} must have exactly two ends")
+            edges[e] = (ends[0], ends[1])
+        return cls(vertices, edges)
 
     def to_dot(self, name: str = "g", edge_labels: Optional[Mapping[str, str]] = None) -> str:
         lines = [f"graph {name} {{"]
@@ -334,11 +341,6 @@ def blow_down(r: BlowUpResult, keep: Iterable[PointLocus] = ()) -> Multigraph:
     return blow_up(g, keep).graph
 
 
-def divisor_ends(g: Multigraph, x: PointLocus) -> dict[str, tuple]:
-    """The blow-up divisor of a single locus: {divisor vertex: end descriptor}."""
-    return blow_up(g, [x]).divisors[x]
-
-
 @dataclass
 class ConnectedSumResult:
     """A connected sum with projections back to the summands.
@@ -508,6 +510,8 @@ def to_networkx(
     edge_labels: Optional[Mapping[str, object]] = None,
     vertex_labels: Optional[Mapping[str, object]] = None,
 ) -> nx.MultiGraph:
+    import networkx as nx
+
     G = nx.MultiGraph()
     for v in g.vertex_ids():
         G.add_node(v, label=None if vertex_labels is None else vertex_labels.get(v))
@@ -526,6 +530,8 @@ def is_isomorphic(
     vertex_labels2: Optional[Mapping[str, object]] = None,
 ) -> bool:
     """Isomorphism of multigraphs, optionally respecting cell labels."""
+    import networkx as nx
+
     G1 = to_networkx(g1, edge_labels1, vertex_labels1)
     G2 = to_networkx(g2, edge_labels2, vertex_labels2)
     nm = nx.algorithms.isomorphism.categorical_node_match("label", None)

@@ -13,7 +13,7 @@ site scheduler, and blow-down projections between approximation levels.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -41,6 +41,7 @@ class GraphicalConnectingSystem:
 
     Component cells live in the union under the prefix "<name>:"; the
     V-system and the E-connection pairs are given in union coordinates.
+    Per-component cells and the partner lists of A are indexed once, here.
     """
 
     names: list[str]
@@ -48,6 +49,17 @@ class GraphicalConnectingSystem:
     union: Multigraph
     vsys: ConnectingVSystem
     econnections: frozenset[tuple[OrientedEdge, OrientedEdge]]
+
+    def __post_init__(self):
+        vs, es = self.union.vertex_ids(), self.union.edge_ids()
+        self._cells = {
+            n: ([v for v in vs if v.startswith(n + ":")], [e for e in es if e.startswith(n + ":")])
+            for n in self.names
+        }
+        partners: dict[OrientedEdge, list[OrientedEdge]] = {}
+        for e1, e2 in self.econnections:
+            partners.setdefault(e1, []).append(e2)
+        self._partners = {e: sorted(ps) for e, ps in partners.items()}
 
     @classmethod
     def build(
@@ -78,14 +90,12 @@ class GraphicalConnectingSystem:
         return self.names.index(name)
 
     def component_cells(self, name: str) -> tuple[list[str], list[str]]:
-        pref = name + ":"
-        vs = [v for v in self.union.vertex_ids() if v.startswith(pref)]
-        es = [e for e in self.union.edge_ids() if e.startswith(pref)]
-        return vs, es
+        """Sorted (vertices, edges) of a component in the union; read-only."""
+        return self._cells[name]
 
     def partners_of(self, eps: OrientedEdge) -> list[OrientedEdge]:
-        """The sorted set O_eps of A-partners of an oriented edge."""
-        return sorted(e2 for e1, e2 in self.econnections if e1 == eps)
+        """The sorted set O_eps of A-partners of an oriented edge; read-only."""
+        return self._partners.get(eps, [])
 
     def to_json_dict(self) -> dict:
         return {
@@ -272,6 +282,8 @@ class PartialUnion:
         self.consumed_by: dict[tuple[str, str], tuple[str, str]] = {}
         self.arcs: dict[tuple[str, str], list[tuple[str, Fraction, Fraction]]] = {}
         self.child_count: dict[str, int] = {}
+        # static per (system, resolution), so shared by every copy
+        self._schedules: dict[str, list[tuple[Fraction, OrientedEdge]]] = {}
         self._graph_cache: Optional[Multigraph] = None
 
     # -- construction ------------------------------------------------------
@@ -286,6 +298,7 @@ class PartialUnion:
         pu.consumed_by = dict(self.consumed_by)
         pu.arcs = {k: list(v) for k, v in self.arcs.items()}
         pu.child_count = dict(self.child_count)
+        pu._schedules = self._schedules
         return pu
 
     @property
@@ -316,7 +329,10 @@ class PartialUnion:
             if v != skip_vertex:
                 self.frontier.append(Site("V", node, depth, vertex=v))
         for e in es:
-            for pos, partner in schedule_sites(self.rcs, e, self.resolution):
+            sched = self._schedules.get(e)
+            if sched is None:
+                sched = self._schedules[e] = schedule_sites(self.rcs, e, self.resolution)
+            for pos, partner in sched:
                 self.frontier.append(
                     Site("E", node, depth, edge=e, position=pos, partner=partner)
                 )

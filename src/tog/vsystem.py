@@ -11,7 +11,6 @@ orbits identified, are the lines of the system.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 from .multigraph import Multigraph, SurgeryError
 
@@ -187,10 +186,6 @@ def lines(vs: ConnectingVSystem) -> list[Line]:
             best = orbit_t if min(orbit_t) <= min(mirror) else mirror
             out.append(Line(_rotate_to_least(best), orientable=True))
     return sorted(out, key=lambda ln: ln.orbit)
-
-
-def line_orientable(line: Line) -> bool:
-    return line.orientable
 
 
 def has_nonorientable_line(vs: ConnectingVSystem) -> bool:

@@ -10,7 +10,7 @@ occurrences equips them with a canonical V-involution.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Sequence
 
 from .multigraph import Multigraph, SurgeryError, is_two_connected
 from .vsystem import ConnectingVSystem, End
