@@ -127,15 +127,17 @@ def _parse_fraction(s: str) -> Fraction:
         raise _Failure(1, [f"MalformedInput: bad fraction {s!r}: {ex}"])
 
 
-def _graph_from(data: dict) -> Multigraph:
+def _decode(parse, path: str):
+    """The document at path, decoded by parse; bad input is a MalformedInput failure."""
+    data = _load_json(path)
     try:
-        return Multigraph.from_json_dict(data)
+        return parse(data)
     except (SurgeryError, KeyError, TypeError, ValueError) as ex:
         raise _Failure(1, [f"MalformedInput: {ex}"])
 
 
 def _cmd_graph(args) -> int:
-    g = _graph_from(_load_json(args.input))
+    g = _decode(Multigraph.from_json_dict, args.input)
     if args.emit == "dot":
         print(g.to_dot())
         return 0
@@ -153,7 +155,7 @@ def _cmd_graph(args) -> int:
 
 
 def _cmd_twin_decompose(args) -> int:
-    g = _graph_from(_load_json(args.input))
+    g = _decode(Multigraph.from_json_dict, args.input)
     tree = theta_sum_decomposition(g)
     _emit_json(tree.to_json_dict())
     return 0
@@ -197,11 +199,7 @@ def _cmd_whitehead(args) -> int:
 
 
 def _cmd_vsystem(args) -> int:
-    data = _load_json(args.input)
-    try:
-        vs = ConnectingVSystem.from_json_dict(data)
-    except (SurgeryError, KeyError, TypeError, ValueError) as ex:
-        raise _Failure(1, [f"MalformedInput: {ex}"])
+    vs = _decode(ConnectingVSystem.from_json_dict, args.input)
     violations = _vsystem.validate(vs)
     if violations:
         raise _Failure(1, violations)
@@ -209,15 +207,8 @@ def _cmd_vsystem(args) -> int:
     return 0
 
 
-def _rcs_from(data: dict) -> _rcs.GraphicalConnectingSystem:
-    try:
-        return _rcs.GraphicalConnectingSystem.from_json_dict(data)
-    except (SurgeryError, KeyError, TypeError, ValueError) as ex:
-        raise _Failure(1, [f"MalformedInput: {ex}"])
-
-
 def _cmd_rcs_validate(args) -> int:
-    sys_ = _rcs_from(_load_json(args.input))
+    sys_ = _decode(_rcs.GraphicalConnectingSystem.from_json_dict, args.input)
     violations = _rcs.validate(sys_)
     _emit_json({"schema": "tog/1", "violations": violations})
     return 0 if not violations else 1
@@ -247,7 +238,7 @@ def _expansion_dot(pu: _rcs.PartialUnion) -> str:
 
 
 def _cmd_rcs_expand(args, cfg: Config) -> int:
-    sys_ = _rcs_from(_load_json(args.input))
+    sys_ = _decode(_rcs.GraphicalConnectingSystem.from_json_dict, args.input)
     violations = _rcs.validate(sys_)
     if violations:
         raise _Failure(1, violations)
@@ -262,14 +253,14 @@ def _cmd_rcs_expand(args, cfg: Config) -> int:
 
 
 def _cmd_rcs_analyze(args, cfg: Config) -> int:
-    sys_ = _rcs_from(_load_json(args.input))
+    sys_ = _decode(_rcs.GraphicalConnectingSystem.from_json_dict, args.input)
     violations = _rcs.validate(sys_)
     if violations:
         raise _Failure(1, violations)
-    pus = [
-        _rcs.expand(sys_, root=cfg.root, depth=d, resolution=cfg.resolution, cap=cfg.cap)
-        for d in range(cfg.depth + 1)
-    ]
+    # expansion is level-synchronous, so each depth extends the previous one
+    pus = [_rcs.init(sys_, cfg.root, cfg.resolution, cfg.cap)]
+    for d in range(1, cfg.depth + 1):
+        pus.append(_rcs.expand_to_depth(pus[-1], d))
     locus = ("n", args.cell)
     if args.position is not None:
         locus = ("n", args.cell, _parse_fraction(args.position))
@@ -297,10 +288,7 @@ def _cmd_jsj_synth(args) -> int:
     if args.golden:
         inp = _jsj.golden_g2() if args.golden == "g2" else _jsj.golden_racg1()
     elif args.input:
-        try:
-            inp = _jsj.JsjInput.from_json_dict(_load_json(args.input))
-        except (SurgeryError, KeyError, TypeError, ValueError) as ex:
-            raise _Failure(1, [f"MalformedInput: {ex}"])
+        inp = _decode(_jsj.JsjInput.from_json_dict, args.input)
     else:
         raise _Failure(1, ["MalformedInput: provide an input file or --golden"])
     sys_, ledger = _jsj.synthesize(inp)

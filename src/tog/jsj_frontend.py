@@ -26,6 +26,7 @@ from .words_whitehead import (
     PeripheralSpec,
     check_rigidity_proxy,
     extended_whitehead_graph,
+    word_str,
 )
 
 
@@ -106,9 +107,7 @@ class JsjInput:
                         "rank": r.rank,
                         "peripherals": [
                             {
-                                "word": "".join(
-                                    _letter(x) for x in p.word.letters
-                                ),
+                                "word": word_str(p.word.letters),
                                 "label": p.word.label,
                                 "multiplicity": p.multiplicity,
                             }
@@ -162,12 +161,6 @@ class JsjInput:
             else:
                 raise InvalidJsjInput(f"unknown rep kind {rec['kind']!r}")
         return cls(orbits, reps)
-
-
-def _letter(x: int) -> str:
-    from .words_whitehead import letter_str
-
-    return letter_str(x)
 
 
 @dataclass

@@ -138,6 +138,8 @@ class Multigraph:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Multigraph":
+        if not isinstance(data, dict):
+            raise SurgeryError(f"a graph must be a JSON object, got {type(data).__name__}")
         if data.get("schema") != "tog/1":
             raise SurgeryError("missing or unsupported schema tag (expected 'tog/1')")
         vertices = data.get("vertices", [])

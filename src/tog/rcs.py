@@ -122,11 +122,7 @@ class GraphicalConnectingSystem:
             (rec["name"], Multigraph.from_json_dict(rec["graph"]))
             for rec in data["components"]
         ]
-        a = {v: w for v, w in data["a"]}
-        alpha = {
-            v: {(p[0], p[1]): (q[0], q[1]) for p, q in entries}
-            for v, entries in data["alpha"].items()
-        }
+        a, alpha = _vsystem.decode_gluing(data)
         A = frozenset(
             ((e1[0], e1[1]), (e2[0], e2[1])) for e1, e2 in data["econnections"]
         )
@@ -310,7 +306,12 @@ class PartialUnion:
     def _dirty(self):
         self._graph_cache = None
 
-    def _add_copy(self, node: str, comp_name: str, depth: int, skip_vertex: Optional[str]):
+    def _add_copy(
+        self, node: str, comp_name: str, via: Optional[Site], skip_vertex: Optional[str]
+    ):
+        """Add a copy of a component as a tree node; via is the parent-side
+        site whose expansion creates it (None for the root)."""
+        depth = 0 if via is None else via.depth + 1
         if len(self.nodes) >= self.cap:
             raise ResourceCapExceeded(
                 f"copy cap of {self.cap} component copies exceeded"
@@ -323,7 +324,7 @@ class PartialUnion:
             t, h = self.rcs.union.ends(e)
             self.edges[f"{node}|{e}"] = (f"{node}|{t}", f"{node}|{h}")
             self.arcs[(node, e)] = [(f"{node}|{e}", Fraction(0), Fraction(1))]
-        self.nodes[node] = NodeInfo(None, depth, comp_name, None)
+        self.nodes[node] = NodeInfo(None if via is None else via.node, depth, comp_name, via)
         self.child_count[node] = 0
         for v in vs:
             if v != skip_vertex:
@@ -364,8 +365,7 @@ class PartialUnion:
         v = s.vertex
         w = rcs.vsys.a[v]
         m = self._new_child(s.node)
-        self._add_copy(m, rcs.component_of(w), s.depth + 1, skip_vertex=w)
-        self.nodes[m] = NodeInfo(s.node, s.depth + 1, rcs.component_of(w), s)
+        self._add_copy(m, rcs.component_of(w), s, skip_vertex=w)
 
         vv = self.vertex_cell[(s.node, v)]
         v1 = self.vertex_cell[(m, w)]
@@ -393,8 +393,7 @@ class PartialUnion:
         rcs = self.rcs
         f0, o = s.partner
         m = self._new_child(s.node)
-        self._add_copy(m, rcs.component_of(f0), s.depth + 1, skip_vertex=None)
-        self.nodes[m] = NodeInfo(s.node, s.depth + 1, rcs.component_of(f0), s)
+        self._add_copy(m, rcs.component_of(f0), s, skip_vertex=None)
 
         chain = self.arcs[(s.node, s.edge)]
         hit = None
@@ -472,7 +471,7 @@ def init(rcs: GraphicalConnectingSystem, root: int, resolution: int, cap: int = 
     if violations:
         raise SurgeryError("invalid connecting system: " + "; ".join(violations))
     pu = PartialUnion(rcs, resolution, cap)
-    pu._add_copy("n", rcs.names[root], 0, skip_vertex=None)
+    pu._add_copy("n", rcs.names[root], None, skip_vertex=None)
     return pu
 
 

@@ -7,6 +7,12 @@ finite connected sums of thick theta graphs, and theta_sum_decomposition
 recovers the summand sizes by repeatedly splitting off a theta summand at an
 essential twin pair whose complement has at most one component containing
 essential vertices.
+
+The essential twin pairs are computed once. A split at {x, y} cuts off a
+connected piece whose only essential vertices are x and y; it meets the
+remainder only at the two cut points, which a single join edge then connects.
+So for essential u, v of the remainder, the degrees and the components of the
+complement of {u, v} are unchanged: its twin pairs are the old ones minus {x, y}.
 """
 
 from __future__ import annotations
@@ -62,17 +68,22 @@ def is_twin_pair(g: Multigraph, x: PointLocus, y: PointLocus) -> TwinReport:
     return TwinReport((x, y), common, count, common is not None and common == count)
 
 
-def essential_twin(g: Multigraph, x: str, _checked: bool = False) -> Optional[str]:
-    """The unique twin vertex of an essential vertex x, if one exists.
+def essential_twin(g: Multigraph, x: str) -> Optional[str]:
+    """The unique twin vertex of an essential vertex x, if one exists."""
+    if not is_two_connected(g):
+        raise SurgeryError("twin analysis requires a 2-connected graph")
+    if g.degree(x) < 3:
+        raise SurgeryError("essential_twin requires a vertex of degree >= 3")
+    return _twin_of(g, x)
+
+
+def _twin_of(g: Multigraph, x: str) -> Optional[str]:
+    """The twin of an essential vertex x of a 2-connected graph g.
 
     The twin of a vertex of degree >= 3 must itself be a vertex of the same
     degree, so an exhaustive scan over equal-degree vertices suffices.
     """
-    if not _checked and not is_two_connected(g):
-        raise SurgeryError("twin analysis requires a 2-connected graph")
     d = g.degree(x)
-    if d < 3:
-        raise SurgeryError("essential_twin requires a vertex of degree >= 3")
     found = []
     for y in g.vertex_ids():
         if y == x or g.degree(y) != d:
@@ -89,20 +100,27 @@ def essential_vertices(g: Multigraph) -> list[str]:
     return [v for v in g.vertex_ids() if g.degree(v) != 2]
 
 
+def _twin_pairs(g: Multigraph) -> Optional[list[tuple[str, str]]]:
+    """The sorted essential twin pairs (x < y) of a 2-connected graph g, or
+    None if some essential vertex has no twin."""
+    pairs = []
+    for x in essential_vertices(g):
+        y = _twin_of(g, x)
+        if y is None:
+            return None
+        if x < y:
+            pairs.append((x, y))
+    return pairs
+
+
 def is_twin_graph(g: Multigraph) -> bool:
     """True iff g is 2-connected and every essential vertex has a twin.
 
     Degree-2 points of a 2-connected graph always have twins, so only the
-    essential vertices need checking.
+    essential vertices need checking; those have degree >= 3, since a vertex
+    of degree 0 or 1 would be isolated or end a bridge.
     """
-    if not is_two_connected(g):
-        return False
-    for v in essential_vertices(g):
-        if g.degree(v) < 3:
-            return False
-        if essential_twin(g, v, _checked=True) is None:
-            return False
-    return True
+    return is_two_connected(g) and _twin_pairs(g) is not None
 
 
 @dataclass
@@ -158,27 +176,18 @@ class ThetaSumTree:
 def _essential_component_data(g: Multigraph, x: str, y: str):
     """Components of g minus {x, y}, with divisor membership and essential census."""
     r = blow_up(g, [Vertex(x), Vertex(y)])
-    comps = components(r.graph)
-    where = {}
-    for i, comp in enumerate(comps):
-        for v in comp:
-            where[v] = i
-    ess = set(essential_vertices(g)) - {x, y}
-    ess_comps = sorted({where[v] for v in ess})
-    return r, comps, where, ess_comps
+    where = {v: i for i, comp in enumerate(components(r.graph)) for v in comp}
+    ess_comps = sorted({where[v] for v in essential_vertices(g) if v not in (x, y)})
+    return r, where, ess_comps
 
 
-def _inner_twin_pair(g: Multigraph) -> tuple[str, str, list[int]]:
-    """An essential twin pair with at most one essential complement component."""
-    pairs = []
-    for x in sorted(essential_vertices(g)):
-        y = essential_twin(g, x, _checked=True)
-        if y is not None and x < y:
-            pairs.append((x, y))
-    for x, y in sorted(pairs):
-        _, _, _, ess_comps = _essential_component_data(g, x, y)
+def _inner_twin_pair(g: Multigraph, twins: list[tuple[str, str]]):
+    """The first of the twin pairs with at most one essential complement
+    component, with the blow-up data of that complement."""
+    for x, y in twins:
+        r, where, ess_comps = _essential_component_data(g, x, y)
         if len(ess_comps) <= 1:
-            return x, y, ess_comps
+            return x, y, r, where, ess_comps
     raise SurgeryError("no essential twin pair with an inner component (not a twin graph?)")
 
 
@@ -203,7 +212,8 @@ def _unsplit(rec: SplitRecord, cpiece: Multigraph) -> Multigraph:
 
 def theta_sum_decomposition(g: Multigraph) -> ThetaSumTree:
     """Decompose a twin graph (not a circle) into thick theta summand sizes."""
-    if not is_twin_graph(g):
+    twins = _twin_pairs(g) if is_two_connected(g) else None
+    if twins is None:
         raise NotTwinGraph("input is not a twin graph")
     if not essential_vertices(g):
         raise IsCircle("input is homeomorphic to the circle")
@@ -213,14 +223,13 @@ def theta_sum_decomposition(g: Multigraph) -> ThetaSumTree:
     current = g
     step = 0
     while True:
-        x, y, ess_comps = _inner_twin_pair(current)
+        x, y, r, where, ess_comps = _inner_twin_pair(current, twins)
         k = current.degree(x)
         if not ess_comps:
             summands.append(k)
             return ThetaSumTree(summands, records, current)
 
         # locate the edges at x and y leading into the essential component
-        r, comps, where, _ = _essential_component_data(current, x, y)
         target = ess_comps[0]
 
         def edge_into(vx: str) -> str:
@@ -269,5 +278,6 @@ def theta_sum_decomposition(g: Multigraph) -> ThetaSumTree:
 
         records.append(SplitRecord(k, (x, y), (e_x, e_y), tpiece, tjoin, cjoin, pairs))
         summands.append(k)
+        twins.remove((x, y))
         current = cpiece
         step += 1

@@ -67,12 +67,19 @@ class ConnectingVSystem:
         if data.get("schema") != "tog/1":
             raise SurgeryError("missing or unsupported schema tag (expected 'tog/1')")
         graph = Multigraph.from_json_dict(data["graph"])
-        a = {v: w for v, w in data["a"]}
-        alpha = {
-            v: {(p[0], p[1]): (q[0], q[1]) for p, q in entries}
-            for v, entries in data["alpha"].items()
-        }
-        return cls(graph, a, alpha)
+        return cls(graph, *decode_gluing(data))
+
+
+def decode_gluing(data: dict) -> tuple[dict[str, str], dict[str, dict[End, End]]]:
+    """The involution a and the link bijections alpha of a tog/1 document."""
+    a = {v: w for v, w in data["a"]}
+    if not isinstance(data["alpha"], dict):
+        raise SurgeryError("'alpha' must be an object")
+    alpha = {
+        v: {(p[0], p[1]): (q[0], q[1]) for p, q in entries}
+        for v, entries in data["alpha"].items()
+    }
+    return a, alpha
 
 
 def validate(vs: ConnectingVSystem) -> list[str]:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from typing import Optional
 
 from tog.multigraph import (
     Interior,
@@ -73,10 +74,16 @@ def random_sum_pair(rng: random.Random, g1: Multigraph, g2: Multigraph):
     return connected_sum(g1, x1, g2, x2, dict(zip(d1, d2)))
 
 
-def random_theta_sum(rng: random.Random) -> tuple[Multigraph, list[int]]:
+def random_theta_sum(
+    rng: random.Random, count: Optional[int] = None
+) -> tuple[Multigraph, list[int]]:
     """A random iterated connected sum of thick theta graphs at degree-2
-    interior points; returns the graph and the summand size multiset."""
-    count = rng.randint(2, 5)
+    interior points; returns the graph and the summand size multiset.
+
+    count is the number of summands, drawn from 2..5 when not given.
+    """
+    if count is None:
+        count = rng.randint(2, 5)
     sizes = [rng.randint(3, 6) for _ in range(count)]
     current = theta_graph(sizes[0], "t0")
     for i, k in enumerate(sizes[1:], start=1):

@@ -9,11 +9,14 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tog
+from generators import random_theta_sum
 from tog.cli import Config, _canonical, main
 from tog.jsj_frontend import golden_g2, synthesize
 from tog.multigraph import (
@@ -171,6 +174,9 @@ def test_jsj_synth_golden_and_file_input(tmp_path, capsys):
 
 GRAPH_ONE_END = {"schema": "tog/1", "vertices": ["a", "b"], "edges": [{"id": "e", "ends": ["a"]}]}
 GRAPH_STR_VERTICES = {"schema": "tog/1", "vertices": "ab", "edges": []}
+RCS_DOC = reflection_system(theta_graph(3)).to_json_dict()
+VSYSTEM_DOC = theta_standard_system(4).to_json_dict()
+RCS_LIST_GRAPH = dict(RCS_DOC, components=[dict(RCS_DOC["components"][0], graph=[])])
 MALFORMED = {
     "top-level-array": ("[1, 2]", ["graph", "{doc}"]),
     "vsystem-array": ("[]", ["vsystem", "{doc}"]),
@@ -179,6 +185,10 @@ MALFORMED = {
     "bad-multiplicity": (
         None, ["whitehead", "--rank", "2", "--words", "a,b", "--multiplicities", "x,2"]
     ),
+    "rcs-list-graph": (json.dumps(RCS_LIST_GRAPH), ["rcs", "validate", "{doc}"]),
+    "rcs-list-alpha": (json.dumps(dict(RCS_DOC, alpha=[])), ["rcs", "validate", "{doc}"]),
+    "vsystem-list-graph": (json.dumps(dict(VSYSTEM_DOC, graph=[])), ["vsystem", "{doc}"]),
+    "vsystem-list-alpha": (json.dumps(dict(VSYSTEM_DOC, alpha=[])), ["vsystem", "{doc}"]),
 }
 
 
@@ -244,6 +254,29 @@ def test_expand_output_digest(case, tmp_path, capsys):
     code, out = run(capsys, "rcs", "expand", path, "--depth", depth, "--resolution", "2")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == EXPAND_DIGESTS[case]
+
+
+# sha256 of stdout, taken from the code that recomputed twins on every peel and
+# ran one independent expansion per depth in `rcs analyze`
+TWIN_DECOMPOSE_DIGEST = "7502882c1cef6e97305f49d3a6ee89dab8cb9609141b2c92d01a33c658600f20"
+ANALYZE_DIGEST = "ae11bbb8ad627a0dd9ad4dd7d098deee0bc68391d69d71d574407c80e151d3f5"
+
+
+def test_twin_decompose_output_digest(tmp_path, capsys):
+    g, sizes = random_theta_sum(random.Random(12), count=12)
+    path = write_json(tmp_path, "sum.json", g.to_json_dict())
+    code, out = run(capsys, "twin-decompose", path)
+    assert code == 0 and sorted(json.loads(out)["summands"]) == sizes
+    assert hashlib.sha256(out.encode()).hexdigest() == TWIN_DECOMPOSE_DIGEST
+
+
+def test_analyze_output_digest(tmp_path, capsys):
+    path = write_json(tmp_path, "refl.json", RCS_DOC)
+    code, out = run(
+        capsys, "rcs", "analyze", path, "--depth", "3", "--cell", "c0:u", "--pair-cell", "c0:w"
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == ANALYZE_DIGEST
 
 
 def test_import_cli_leaves_networkx_unloaded():

@@ -19,6 +19,7 @@ from tog.multigraph import (
 from tog.twin_theta import (
     IsCircle,
     NotTwinGraph,
+    ThetaSumTree,
     essential_twin,
     essential_vertices,
     is_twin_graph,
@@ -91,6 +92,31 @@ def test_theta_sum_round_trip_property(seed):
     tree = theta_sum_decomposition(g)
     assert sorted(tree.summands) == sizes
     assert tree.replay() == g
+
+
+def essential_twin_pairs(g: Multigraph) -> set[tuple[str, str]]:
+    """The essential twin pairs, each vertex checked by the public scan."""
+    pairs = set()
+    for x in essential_vertices(g):
+        y = essential_twin(g, x)
+        assert y is not None
+        pairs.add((min(x, y), max(x, y)))
+    return pairs
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10**6))
+def test_split_removes_only_its_twin_pair(seed):
+    # the decomposition computes the twin pairs once and drops each split's
+    # pair; recompute them on every intermediate graph of the replay
+    g, _ = random_theta_sum(random.Random(seed))
+    tree = theta_sum_decomposition(g)
+    pairs = essential_twin_pairs(g)
+    for i, rec in enumerate(tree.records):
+        assert rec.pair in pairs
+        pairs.discard(rec.pair)
+        after = ThetaSumTree(tree.summands, tree.records[i + 1 :], tree.base).replay()
+        assert essential_twin_pairs(after) == pairs
 
 
 def test_essential_twin_requires_essential_vertex():
