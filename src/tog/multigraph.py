@@ -7,7 +7,8 @@ along that orientation.
 
 The operations here are the building blocks for everything else in the
 package: blow-up at a set of point loci, the inverse blow-down, connected
-sums along divisor bijections, complement components, and 2-connectivity.
+sums along divisor bijections, complement components, and one lowpoint
+DFS that counts cut points and decides 2-connectivity.
 All operations are pure; all iteration orders are sorted so that outputs are
 deterministic.
 """
@@ -16,10 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, Mapping, Optional
-
-if TYPE_CHECKING:
-    import networkx as nx
+from typing import Iterable, Mapping, Optional
 
 
 class SurgeryError(ValueError):
@@ -62,14 +60,16 @@ class Multigraph:
     """A finite multigraph with string ids.
 
     edges maps edge id -> (v, w); the tuple order is the edge's reference
-    orientation (tail, head). Loops (v == w) are allowed.
+    orientation (tail, head). Loops (v == w) are allowed. The graph is
+    immutable, so its incidence table is built once, on first use.
     """
 
-    __slots__ = ("_vertices", "_edges")
+    __slots__ = ("_vertices", "_edges", "_links")
 
     def __init__(self, vertices: Iterable[str], edges: Mapping[str, tuple[str, str]]):
         self._vertices = frozenset(vertices)
         self._edges = dict(edges)
+        self._links: Optional[dict[str, list[tuple[str, int]]]] = None
         for e, (v, w) in self._edges.items():
             if v not in self._vertices or w not in self._vertices:
                 raise SurgeryError(f"edge {e!r} references missing vertex")
@@ -95,19 +95,22 @@ class Multigraph:
         v, w = self._edges[e]
         return v == w
 
+    def _incidence(self) -> dict[str, list[tuple[str, int]]]:
+        if self._links is None:
+            links: dict[str, list[tuple[str, int]]] = {v: [] for v in self._vertices}
+            for e in self.edge_ids():
+                t, h = self._edges[e]
+                links[t].append((e, 0))
+                links[h].append((e, 1))
+            self._links = links
+        return self._links
+
     def link(self, v: str) -> list[tuple[str, int]]:
-        """Edge-ends at v, as (edge id, end index) pairs; a loop contributes both ends."""
-        out = []
-        for e in self.edge_ids():
-            t, h = self._edges[e]
-            if t == v:
-                out.append((e, 0))
-            if h == v:
-                out.append((e, 1))
-        return out
+        """Edge-ends at v, as sorted (edge id, end index) pairs; a loop contributes both ends."""
+        return list(self._incidence().get(v, ()))
 
     def degree(self, v: str) -> int:
-        return len(self.link(v))
+        return len(self._incidence().get(v, ()))
 
     def relabel(self, prefix: str) -> "Multigraph":
         """A copy with every vertex and edge id prefixed."""
@@ -447,30 +450,67 @@ def complement_components(
     return len(comps), iota
 
 
+def cut_counts(g: Multigraph, skip: Optional[str] = None) -> tuple[int, dict[str, int]]:
+    """Cut-vertex census of g minus the vertex skip, by one lowpoint DFS.
+
+    Returns (reached, pieces): reached is the number of vertices the search
+    from the least vertex reaches, and pieces[v] is the number of components
+    of (g - skip) - v, for every other vertex v (Hopcroft-Tarjan 1973). Loops
+    are ignored; parallel edges are told apart by edge id, so only the tree
+    edge itself leads back to a vertex's parent.
+    """
+    links, ends_of = g._incidence(), g._edges
+    disc: dict[str, int] = {}
+    low: dict[str, int] = {}
+    pieces: dict[str, int] = {}
+    reached = searches = 0
+    for root in g.vertex_ids():
+        if root == skip or root in disc:
+            continue
+        searches += 1
+        disc[root] = low[root] = len(disc)
+        pieces[root] = 0  # the root splits into one piece per DFS child
+        stack = [(root, None, iter(links[root]))]
+        while stack:
+            v, via, ends = stack[-1]
+            for e, i in ends:
+                w = ends_of[e][1 - i]
+                if w == v or w == skip or e == via:
+                    continue
+                if w in disc:
+                    low[v] = min(low[v], disc[w])
+                else:
+                    disc[w] = low[w] = len(disc)
+                    pieces[w] = 1  # the part holding the parent
+                    stack.append((w, e, iter(links[w])))
+                    break
+            else:
+                stack.pop()
+                if stack:
+                    u = stack[-1][0]
+                    low[u] = min(low[u], low[v])
+                    if low[v] >= disc[u]:
+                        pieces[u] += 1
+        if searches == 1:
+            reached = len(disc)
+    return reached, {v: n + searches - 1 for v, n in pieces.items()}
+
+
 def is_two_connected(g: Multigraph) -> bool:
     """True iff g is nonempty, connected, has >= 2 vertices and no cutpoint.
 
     No cutpoint means: the blow-up at every single vertex stays connected and
     no edge is a bridge (interior points of a bridge are cutpoints). Parallel
-    edges are never bridges; loops force a cutpoint at their vertex.
+    edges are never bridges; loops force a cutpoint at their vertex. Without
+    a separating vertex, the only possible bridge is a lone edge between two
+    vertices.
     """
     if not g.vertices or len(g.vertices) < 2:
         return False
     if any(g.is_loop(e) for e in g.edge_ids()):
         return False  # the loop's vertex is a cutpoint
-    import networkx as nx
-
-    # subdividing every edge turns the multigraph into a simple graph whose
-    # biconnectivity is equivalent: vertex cutpoints survive subdivision and
-    # bridge midpoints become cutpoints
-    G = nx.Graph()
-    G.add_nodes_from(g.vertex_ids())
-    for e in g.edge_ids():
-        t, h = g.ends(e)
-        mid = (e, "#mid")
-        G.add_edge(t, mid)
-        G.add_edge(mid, h)
-    return nx.is_connected(G) and nx.is_biconnected(G)
+    reached, pieces = cut_counts(g)
+    return reached == len(g.vertices) and max(pieces.values()) == 1 and len(g.edges) > 1
 
 
 def smoothed(g: Multigraph) -> Multigraph:
@@ -507,38 +547,17 @@ def smoothed(g: Multigraph) -> Multigraph:
     return Multigraph(vertices, edges)
 
 
-def to_networkx(
-    g: Multigraph,
-    edge_labels: Optional[Mapping[str, object]] = None,
-    vertex_labels: Optional[Mapping[str, object]] = None,
-) -> nx.MultiGraph:
+def is_isomorphic(g1: Multigraph, g2: Multigraph) -> bool:
+    """Isomorphism of multigraphs, respecting edge multiplicities and loops."""
     import networkx as nx
 
-    G = nx.MultiGraph()
-    for v in g.vertex_ids():
-        G.add_node(v, label=None if vertex_labels is None else vertex_labels.get(v))
-    for e in g.edge_ids():
-        v, w = g.ends(e)
-        G.add_edge(v, w, key=e, label=None if edge_labels is None else edge_labels.get(e))
-    return G
+    def to_nx(g: Multigraph) -> nx.MultiGraph:
+        G = nx.MultiGraph()
+        G.add_nodes_from(g.vertex_ids())
+        G.add_edges_from(g.ends(e) for e in g.edge_ids())
+        return G
 
-
-def is_isomorphic(
-    g1: Multigraph,
-    g2: Multigraph,
-    edge_labels1: Optional[Mapping[str, object]] = None,
-    edge_labels2: Optional[Mapping[str, object]] = None,
-    vertex_labels1: Optional[Mapping[str, object]] = None,
-    vertex_labels2: Optional[Mapping[str, object]] = None,
-) -> bool:
-    """Isomorphism of multigraphs, optionally respecting cell labels."""
-    import networkx as nx
-
-    G1 = to_networkx(g1, edge_labels1, vertex_labels1)
-    G2 = to_networkx(g2, edge_labels2, vertex_labels2)
-    nm = nx.algorithms.isomorphism.categorical_node_match("label", None)
-    em = nx.algorithms.isomorphism.categorical_multiedge_match("label", None)
-    return nx.is_isomorphic(G1, G2, node_match=nm, edge_match=em)
+    return nx.is_isomorphic(to_nx(g1), to_nx(g2))
 
 
 def is_homeomorphic(g1: Multigraph, g2: Multigraph) -> bool:

@@ -157,26 +157,13 @@ def validate(rcs: GraphicalConnectingSystem) -> list[str]:
         if eps not in covered:
             out.append(f"UncoveredOrientedEdge: {eps}")
 
-    # transitivity: components must be linked by a-links or A-links
-    idx = {n: i for i, n in enumerate(rcs.names)}
-    parent = list(range(len(rcs.names)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def link(c1: str, c2: str):
-        r1, r2 = find(idx[c1]), find(idx[c2])
-        if r1 != r2:
-            parent[r1] = r2
-
-    for v, w in rcs.vsys.a.items():
-        link(rcs.component_of(v), rcs.component_of(w))
-    for e1, e2 in A:
-        link(rcs.component_of(e1[0]), rcs.component_of(e2[0]))
-    if len(rcs.names) > 0 and len({find(i) for i in range(len(rcs.names))}) != 1:
+    # transitivity: components must be linked by a-links or A-links; a link
+    # naming an unknown component is left to the V-system check
+    names = set(rcs.names)
+    links = [*rcs.vsys.a.items(), *((e1[0], e2[0]) for e1, e2 in A)]
+    ends = [(rcs.component_of(p), rcs.component_of(q)) for p, q in links]
+    linked = Multigraph(names, {k: cs for k, cs in enumerate(ends) if names.issuperset(cs)})
+    if names and len(graph_components(linked)) != 1:
         out.append("TransitivityFailure: components not linked by a-links or A-links")
     return out
 
@@ -369,7 +356,7 @@ class PartialUnion:
 
         vv = self.vertex_cell[(s.node, v)]
         v1 = self.vertex_cell[(m, w)]
-        for p in sorted(rcs.union.link(v)):
+        for p in rcs.union.link(v):
             q = rcs.vsys.alpha[v][p]
             ce, ci = self._current_end(s.node, p)
             fe, fi = self._current_end(m, q)

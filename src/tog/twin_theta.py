@@ -17,6 +17,7 @@ complement of {u, v} are unchanged: its twin pairs are the old ones minus {x, y}
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -30,6 +31,7 @@ from .multigraph import (
     blow_up,
     complement_components,
     components,
+    cut_counts,
     is_two_connected,
 )
 
@@ -80,17 +82,18 @@ def essential_twin(g: Multigraph, x: str) -> Optional[str]:
 def _twin_of(g: Multigraph, x: str) -> Optional[str]:
     """The twin of an essential vertex x of a 2-connected graph g.
 
-    The twin of a vertex of degree >= 3 must itself be a vertex of the same
-    degree, so an exhaustive scan over equal-degree vertices suffices.
+    The twin of a vertex of degree >= 3 must itself be a vertex y of the same
+    degree. The complement of {x, y} is (g - x) - y, counted by one cut-point
+    census of g - x, plus one open arc per edge between x and y.
     """
     d = g.degree(x)
-    found = []
-    for y in g.vertex_ids():
-        if y == x or g.degree(y) != d:
-            continue
-        count, _ = complement_components(g, [Vertex(x), Vertex(y)])
-        if count == d:
-            found.append(y)
+    _, pieces = cut_counts(g, x)
+    arcs = Counter(g.ends(e)[1 - i] for e, i in g.link(x))
+    found = [
+        y
+        for y in g.vertex_ids()
+        if y != x and g.degree(y) == d and pieces[y] + arcs[y] == d
+    ]
     if len(found) > 1:
         raise SurgeryError(f"vertex {x!r} has more than one twin: {found}")
     return found[0] if found else None

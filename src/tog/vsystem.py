@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .multigraph import Multigraph, SurgeryError
+from .multigraph import Multigraph, SurgeryError, components
 
 OrientedEdge = tuple[str, int]  # (edge id, orientation); 0 = reference direction
 End = tuple[str, int]  # (edge id, end index)
@@ -233,22 +233,9 @@ def lines_sharing_ends(vs: ConnectingVSystem) -> list[list[Line]]:
     """Group lines whose induced geodesics coincide (shared end pairs)."""
     ls = lines(vs)
     n = len(ls)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if find(i) != find(j) and _share_ends(vs, ls[i], ls[j]):
-                parent[find(i)] = find(j)
-    groups: dict[int, list[Line]] = {}
-    for i, ln in enumerate(ls):
-        groups.setdefault(find(i), []).append(ln)
-    return sorted(groups.values(), key=lambda grp: grp[0].orbit)
+    shared = [(i, j) for i in range(n) for j in range(i + 1, n) if _share_ends(vs, ls[i], ls[j])]
+    groups = components(Multigraph(range(n), dict(enumerate(shared))))
+    return sorted(([ls[i] for i in sorted(c)] for c in groups), key=lambda grp: grp[0].orbit)
 
 
 def theta_standard_system(k: int, prefix: str = "") -> ConnectingVSystem:

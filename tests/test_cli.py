@@ -177,6 +177,9 @@ GRAPH_STR_VERTICES = {"schema": "tog/1", "vertices": "ab", "edges": []}
 RCS_DOC = reflection_system(theta_graph(3)).to_json_dict()
 VSYSTEM_DOC = theta_standard_system(4).to_json_dict()
 RCS_LIST_GRAPH = dict(RCS_DOC, components=[dict(RCS_DOC["components"][0], graph=[])])
+# a-links naming a cell of an unknown component "zz", in the domain or the range of a
+RCS_UNKNOWN_DOMAIN = dict(RCS_DOC, a=RCS_DOC["a"] + [["zz:u", "c0:u"]])
+RCS_UNKNOWN_RANGE = dict(RCS_DOC, a=[[v, "zz:q" if v == "c0:u" else w] for v, w in RCS_DOC["a"]])
 MALFORMED = {
     "top-level-array": ("[1, 2]", ["graph", "{doc}"]),
     "vsystem-array": ("[]", ["vsystem", "{doc}"]),
@@ -189,6 +192,13 @@ MALFORMED = {
     "rcs-list-alpha": (json.dumps(dict(RCS_DOC, alpha=[])), ["rcs", "validate", "{doc}"]),
     "vsystem-list-graph": (json.dumps(dict(VSYSTEM_DOC, graph=[])), ["vsystem", "{doc}"]),
     "vsystem-list-alpha": (json.dumps(dict(VSYSTEM_DOC, alpha=[])), ["vsystem", "{doc}"]),
+    "rcs-a-unknown-domain": (json.dumps(RCS_UNKNOWN_DOMAIN), ["rcs", "validate", "{doc}"]),
+    "rcs-a-unknown-range": (json.dumps(RCS_UNKNOWN_RANGE), ["rcs", "expand", "{doc}"]),
+}
+# cases that decode but fail the V-system check, with their first violation
+FIRST_VIOLATION = {
+    "rcs-a-unknown-domain": "InvolutionDomain",
+    "rcs-a-unknown-range": "InvolutionRange",
 }
 
 
@@ -201,7 +211,8 @@ def test_malformed_input_is_violations_document(case, tmp_path, capsys):
     code, out = run(capsys, *[a.format(doc=path) for a in argv])
     doc = json.loads(out)
     assert code == 1 and doc["schema"] == "tog/1"
-    assert doc["violations"] and doc["violations"][0].startswith("MalformedInput")
+    first = FIRST_VIOLATION.get(case, "MalformedInput")
+    assert doc["violations"] and doc["violations"][0].startswith(first)
 
 
 # -- the canonical encoder ---------------------------------------------------
@@ -279,9 +290,24 @@ def test_analyze_output_digest(tmp_path, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == ANALYZE_DIGEST
 
 
-def test_import_cli_leaves_networkx_unloaded():
+def test_import_cli_leaves_networkx_unloaded(tmp_path):
+    graph = write_json(tmp_path, "k4.json", complete_graph(4).to_json_dict())
+    twin = write_json(tmp_path, "theta.json", theta_graph(4).to_json_dict())
+    runs = [
+        ["graph", graph],
+        ["twin-decompose", twin],
+        ["whitehead", "--rank", "2", "--words", "a,b,ab"],
+        ["jsj", "synth", "--golden", "g2"],
+    ]
+    probe = (
+        "import contextlib, io, sys\n"
+        "from tog.cli import main\n"
+        f"for argv in {runs!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(argv) == 0, argv\n"
+        "print('networkx' in sys.modules)"
+    )
     env = dict(os.environ, PYTHONPATH=str(Path(tog.__file__).resolve().parent.parent))
-    probe = "import sys, tog.cli; print('networkx' in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
     )

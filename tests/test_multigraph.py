@@ -20,6 +20,7 @@ from tog.multigraph import (
     complete_graph,
     components,
     connected_sum,
+    cut_counts,
     is_homeomorphic,
     is_isomorphic,
     is_two_connected,
@@ -146,17 +147,59 @@ def _oracle_two_connected(g: Multigraph) -> bool:
     return True
 
 
-@settings(max_examples=80, deadline=None)
-@given(st.integers(0, 10**6))
-def test_two_connected_matches_oracle(seed):
-    rng = random.Random(seed)
+def _random_multigraph(rng: random.Random) -> Multigraph:
+    """Random ends, loops allowed; about 3% of these are 2-connected."""
     n = rng.randint(1, 8)
     vertices = [f"v{i}" for i in range(n)]
     edges = {}
     for k in range(rng.randint(0, 2 * n)):
         edges[f"e{k}"] = (rng.choice(vertices), rng.choice(vertices))
-    g = Multigraph(vertices, edges)
+    return Multigraph(vertices, edges)
+
+
+def _perturbed_two_connected(rng: random.Random) -> Multigraph:
+    """A 2-connected graph, kept, or with an edge dropped, a pendant edge
+    added, or a bridge to a theta added."""
+    g = random_two_connected(rng, 9)
+    vertices, edges = set(g.vertices), g.edges
+    at = rng.choice(g.vertex_ids())
+    change = rng.randrange(4)
+    if change == 1:
+        del edges[rng.choice(g.edge_ids())]
+    elif change == 2:
+        vertices.add("p")
+        edges["pendant"] = (at, "p")
+    elif change == 3:
+        vertices |= {"b0", "b1"}
+        edges.update({"bridge": (at, "b0"), "t0": ("b0", "b1"), "t1": ("b1", "b0")})
+    return Multigraph(vertices, edges)
+
+
+@settings(max_examples=160, deadline=None)
+@given(st.sampled_from([_random_multigraph, _perturbed_two_connected]), st.integers(0, 10**6))
+def test_two_connected_matches_oracle(make, seed):
+    g = make(random.Random(seed))
     assert is_two_connected(g) == _oracle_two_connected(g)
+
+
+def _delete(g: Multigraph, gone: set) -> Multigraph:
+    edges = {e: ends for e, ends in g.edges.items() if gone.isdisjoint(ends)}
+    return Multigraph(g.vertices - gone, edges)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([_random_multigraph, _perturbed_two_connected]), st.integers(0, 10**6))
+def test_cut_counts_match_vertex_deletion(make, seed):
+    rng = random.Random(seed)
+    g = make(rng)
+    skip = rng.choice([None, *g.vertex_ids()])
+    reached, pieces = cut_counts(g, skip)
+    rest = _delete(g, {skip})
+    comps = components(rest)
+    assert reached == (len(comps[0]) if comps else 0)
+    assert set(pieces) == set(rest.vertices)
+    for v in rest.vertex_ids():
+        assert pieces[v] == len(components(_delete(rest, {v})))
 
 
 def test_loop_breaks_two_connectivity():
