@@ -132,7 +132,7 @@ def _decode(parse, path: str):
     data = _load_json(path)
     try:
         return parse(data)
-    except (SurgeryError, KeyError, TypeError, ValueError) as ex:
+    except (SurgeryError, LookupError, TypeError, ValueError) as ex:
         raise _Failure(1, [f"MalformedInput: {ex}"])
 
 
@@ -239,9 +239,6 @@ def _expansion_dot(pu: _rcs.PartialUnion) -> str:
 
 def _cmd_rcs_expand(args, cfg: Config) -> int:
     sys_ = _decode(_rcs.GraphicalConnectingSystem.from_json_dict, args.input)
-    violations = _rcs.validate(sys_)
-    if violations:
-        raise _Failure(1, violations)
     pu = _rcs.expand(
         sys_, root=cfg.root, depth=cfg.depth, resolution=cfg.resolution, cap=cfg.cap
     )
@@ -254,9 +251,6 @@ def _cmd_rcs_expand(args, cfg: Config) -> int:
 
 def _cmd_rcs_analyze(args, cfg: Config) -> int:
     sys_ = _decode(_rcs.GraphicalConnectingSystem.from_json_dict, args.input)
-    violations = _rcs.validate(sys_)
-    if violations:
-        raise _Failure(1, violations)
     # expansion is level-synchronous, so each depth extends the previous one
     pus = [_rcs.init(sys_, cfg.root, cfg.resolution, cfg.cap)]
     for d in range(1, cfg.depth + 1):
@@ -378,6 +372,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except _Failure as ex:
         _emit_json({"schema": "tog/1", "violations": ex.violations})
         return ex.code
+    except _rcs.InvalidSystem as ex:
+        _emit_json({"schema": "tog/1", "violations": ex.violations})
+        return 1
     except _rcs.ResourceCapExceeded as ex:
         _emit_json({"schema": "tog/1", "violations": [f"ResourceCapExceeded: {ex}"]})
         return 2

@@ -82,6 +82,13 @@ class RigidClusterRep:
 Rep = Union[V2Rep, RigidClusterRep]
 
 
+def _typed(value, kind: type, what: str):
+    """value, which must be exactly of type kind (so a bool is not an int)."""
+    if type(value) is not kind:
+        raise InvalidJsjInput(f"{what} must be of type {kind.__name__}, got {value!r}")
+    return value
+
+
 @dataclass
 class JsjInput:
     flexible_orbits: list[FlexibleOrbit]
@@ -134,30 +141,33 @@ class JsjInput:
         if data.get("schema") != "tog/1":
             raise SurgeryError("missing or unsupported schema tag (expected 'tog/1')")
         orbits = [
-            FlexibleOrbit(rec["id"], bool(rec["orientable"]))
+            FlexibleOrbit(_typed(rec["id"], str, "orbit id"), bool(rec["orientable"]))
             for rec in data["flexible_orbits"]
         ]
         reps: list[Rep] = []
         for rec in data["reps"]:
+            rid = _typed(rec["id"], str, "rep id")
             if rec["kind"] == "v2":
                 reps.append(
                     V2Rep(
-                        rec["id"],
-                        rec["k"],
-                        [(y, s) for y, s in rec["edge_assignments"]],
+                        rid,
+                        _typed(rec["k"], int, f"rep {rid} k"),
+                        [(_typed(y, str, "orbit id"), s) for y, s in rec["edge_assignments"]],
                     )
                 )
             elif rec["kind"] == "rigid":
                 periph = [
                     PeripheralSpec(
-                        cyclically_reduce(p["word"], p["label"]), p["multiplicity"]
+                        cyclically_reduce(p["word"], _typed(p["label"], str, "peripheral label")),
+                        _typed(p["multiplicity"], int, f"rep {rid} multiplicity"),
                     )
                     for p in rec["peripherals"]
                 ]
                 slots = {
-                    (xi, j): (y, s) for (xi, j), (y, s) in rec["slots"]
+                    (xi, j): (_typed(y, str, "orbit id"), s) for (xi, j), (y, s) in rec["slots"]
                 }
-                reps.append(RigidClusterRep(rec["id"], rec["rank"], periph, slots))
+                rank = _typed(rec["rank"], int, f"rep {rid} rank")
+                reps.append(RigidClusterRep(rid, rank, periph, slots))
             else:
                 raise InvalidJsjInput(f"unknown rep kind {rec['kind']!r}")
         return cls(orbits, reps)

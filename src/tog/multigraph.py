@@ -513,58 +513,6 @@ def is_two_connected(g: Multigraph) -> bool:
     return reached == len(g.vertices) and max(pieces.values()) == 1 and len(g.edges) > 1
 
 
-def smoothed(g: Multigraph) -> Multigraph:
-    """Remove degree-2 vertices by merging their incident edges.
-
-    The result is homeomorphic to g. Circle components are left with a single
-    vertex carrying a loop. Edge ids in the result are not meaningful.
-    """
-    vertices = set(g.vertices)
-    edges = dict(g.edges)
-    changed = True
-    while changed:
-        changed = False
-        for v in sorted(vertices):
-            incident = []
-            for e, (t, h) in edges.items():
-                if t == v:
-                    incident.append((e, 0))
-                if h == v:
-                    incident.append((e, 1))
-            if len(incident) != 2:
-                continue
-            (e1, i1), (e2, i2) = sorted(incident)
-            if e1 == e2:
-                continue  # loop at v: a circle component, keep one vertex
-            a = edges[e1][1 - i1]
-            b = edges[e2][1 - i2]
-            del edges[e1]
-            del edges[e2]
-            edges[f"({e1}|{e2})"] = (a, b)
-            vertices.remove(v)
-            changed = True
-            break
-    return Multigraph(vertices, edges)
-
-
-def is_isomorphic(g1: Multigraph, g2: Multigraph) -> bool:
-    """Isomorphism of multigraphs, respecting edge multiplicities and loops."""
-    import networkx as nx
-
-    def to_nx(g: Multigraph) -> nx.MultiGraph:
-        G = nx.MultiGraph()
-        G.add_nodes_from(g.vertex_ids())
-        G.add_edges_from(g.ends(e) for e in g.edge_ids())
-        return G
-
-    return nx.is_isomorphic(to_nx(g1), to_nx(g2))
-
-
-def is_homeomorphic(g1: Multigraph, g2: Multigraph) -> bool:
-    """Isomorphism after smoothing away degree-2 vertices."""
-    return is_isomorphic(smoothed(g1), smoothed(g2))
-
-
 def theta_graph(k: int, prefix: str = "") -> Multigraph:
     """The theta graph with two vertices and k parallel edges."""
     if k < 2:

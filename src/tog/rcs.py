@@ -26,13 +26,19 @@ class ResourceCapExceeded(RuntimeError):
     """Raised when an expansion would exceed the configured copy cap."""
 
 
+class InvalidSystem(SurgeryError):
+    """A connecting system that fails ``validate``; ``violations`` lists why."""
+
+    def __init__(self, violations: list[str]):
+        super().__init__("invalid connecting system: " + "; ".join(violations))
+        self.violations = violations
+
+
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
+
 def _frac_str(p: Fraction) -> str:
     return f"{p.numerator}/{p.denominator}"
-
-
-def _parse_frac(s: str) -> Fraction:
-    num, den = s.split("/")
-    return Fraction(int(num), int(den))
 
 
 @dataclass
@@ -51,10 +57,9 @@ class GraphicalConnectingSystem:
     econnections: frozenset[tuple[OrientedEdge, OrientedEdge]]
 
     def __post_init__(self):
-        vs, es = self.union.vertex_ids(), self.union.edge_ids()
         self._cells = {
-            n: ([v for v in vs if v.startswith(n + ":")], [e for e in es if e.startswith(n + ":")])
-            for n in self.names
+            n: ([f"{n}:{v}" for v in g.vertex_ids()], [f"{n}:{e}" for e in g.edge_ids()])
+            for n, g in zip(self.names, self.components)
         }
         partners: dict[OrientedEdge, list[OrientedEdge]] = {}
         for e1, e2 in self.econnections:
@@ -72,6 +77,13 @@ class GraphicalConnectingSystem:
         names = [n for n, _ in named_components]
         if len(set(names)) != len(names):
             raise SurgeryError("duplicate component names")
+        # derived ids are "<name>:<cell>", "<node>|<cell>", "<v>&<end>" and "<e>@<pos>"
+        for n, g in named_components:
+            if any(c in n for c in ":|&@"):
+                raise SurgeryError(f"component name {n!r} contains one of ':|&@'")
+            for cell in (*g.vertices, *g.edges):
+                if any(c in cell for c in "|&@"):
+                    raise SurgeryError(f"cell {cell!r} of component {n!r} contains one of '|&@'")
         comps = [g for _, g in named_components]
         vertices: set[str] = set()
         edges: dict[str, tuple[str, str]] = {}
@@ -85,9 +97,6 @@ class GraphicalConnectingSystem:
 
     def component_of(self, cell: str) -> str:
         return cell.split(":", 1)[0]
-
-    def component_index(self, name: str) -> int:
-        return self.names.index(name)
 
     def component_cells(self, name: str) -> tuple[list[str], list[str]]:
         """Sorted (vertices, edges) of a component in the union; read-only."""
@@ -197,7 +206,7 @@ class Site:
 
     def sort_key(self):
         if self.kind == "V":
-            return (self.node, 0, self.vertex, Fraction(0), "")
+            return (self.node, 0, self.vertex, _ZERO, "")
         return (self.node, 1, self.edge, self.position, self.partner[0])
 
     def to_json(self) -> dict:
@@ -235,6 +244,14 @@ def schedule_sites(
     ]
 
 
+def _arc_at(chain: list[tuple[str, Fraction, Fraction]], pos: Fraction) -> Optional[int]:
+    """Index of the arc of chain whose open interval holds pos, or None."""
+    for i, (_, lo, hi) in enumerate(chain):
+        if lo < pos < hi:
+            return i
+    return None
+
+
 @dataclass
 class NodeInfo:
     parent: Optional[str]
@@ -249,8 +266,9 @@ class PartialUnion:
     The graph is built by iterated connected sums: one copy of a component
     per tree node, glued at expanded sites. Cell ids are "<node>|<cell>" for
     cells inherited from a component copy; surgery vertices carry derived
-    deterministic ids. arcs tracks, per (node, original edge), the current
-    arcs covering (0,1) in original-edge coordinates.
+    deterministic ids. Copy vertex (node, v) is alive while "<node>|<v>" is a
+    vertex; consumed_by records the child cell that absorbed it. arcs holds,
+    per (node, original edge), the current arcs covering that edge's (0,1).
     """
 
     def __init__(self, rcs: GraphicalConnectingSystem, resolution: int, cap: int = 10000):
@@ -261,7 +279,6 @@ class PartialUnion:
         self.edges: dict[str, tuple[str, str]] = {}
         self.nodes: dict[str, NodeInfo] = {}
         self.frontier: list[Site] = []
-        self.vertex_cell: dict[tuple[str, str], Optional[str]] = {}
         self.consumed_by: dict[tuple[str, str], tuple[str, str]] = {}
         self.arcs: dict[tuple[str, str], list[tuple[str, Fraction, Fraction]]] = {}
         self.child_count: dict[str, int] = {}
@@ -277,7 +294,6 @@ class PartialUnion:
         pu.edges = dict(self.edges)
         pu.nodes = dict(self.nodes)
         pu.frontier = list(self.frontier)
-        pu.vertex_cell = dict(self.vertex_cell)
         pu.consumed_by = dict(self.consumed_by)
         pu.arcs = {k: list(v) for k, v in self.arcs.items()}
         pu.child_count = dict(self.child_count)
@@ -289,9 +305,6 @@ class PartialUnion:
         if self._graph_cache is None:
             self._graph_cache = Multigraph(self.vertices, self.edges)
         return self._graph_cache
-
-    def _dirty(self):
-        self._graph_cache = None
 
     def _add_copy(
         self, node: str, comp_name: str, via: Optional[Site], skip_vertex: Optional[str]
@@ -306,11 +319,10 @@ class PartialUnion:
         vs, es = self.rcs.component_cells(comp_name)
         for v in vs:
             self.vertices.add(f"{node}|{v}")
-            self.vertex_cell[(node, v)] = f"{node}|{v}"
         for e in es:
             t, h = self.rcs.union.ends(e)
             self.edges[f"{node}|{e}"] = (f"{node}|{t}", f"{node}|{h}")
-            self.arcs[(node, e)] = [(f"{node}|{e}", Fraction(0), Fraction(1))]
+            self.arcs[(node, e)] = [(f"{node}|{e}", _ZERO, _ONE)]
         self.nodes[node] = NodeInfo(None if via is None else via.node, depth, comp_name, via)
         self.child_count[node] = 0
         for v in vs:
@@ -324,21 +336,15 @@ class PartialUnion:
                 self.frontier.append(
                     Site("E", node, depth, edge=e, position=pos, partner=partner)
                 )
-        self._dirty()
 
     def _current_end(self, node: str, end: End) -> tuple[str, int]:
         """The current (edge, end index) realizing an original edge-end."""
         e0, i = end
         chain = self.arcs[(node, e0)]
-        if i == 0:
-            arc = chain[0]
-            if arc[1] != 0:
-                raise SurgeryError(f"end {end} of node {node} no longer exists")
-            return (arc[0], 0)
-        arc = chain[-1]
-        if arc[2] != 1:
+        ce, lo, hi = chain[0] if i == 0 else chain[-1]
+        if (lo, hi)[i] != i:  # the end arc must still reach position i
             raise SurgeryError(f"end {end} of node {node} no longer exists")
-        return (arc[0], 1)
+        return (ce, i)
 
     def _new_child(self, node: str) -> str:
         k = self.child_count[node]
@@ -347,6 +353,11 @@ class PartialUnion:
 
     # -- expansion ---------------------------------------------------------
 
+    def _expand(self, s: Site) -> str:
+        """Glue a fresh partner copy at s; returns the new node."""
+        self._graph_cache = None
+        return self._expand_v(s) if s.kind == "V" else self._expand_e(s)
+
     def _expand_v(self, s: Site) -> str:
         rcs = self.rcs
         v = s.vertex
@@ -354,8 +365,7 @@ class PartialUnion:
         m = self._new_child(s.node)
         self._add_copy(m, rcs.component_of(w), s, skip_vertex=w)
 
-        vv = self.vertex_cell[(s.node, v)]
-        v1 = self.vertex_cell[(m, w)]
+        vv, v1 = f"{s.node}|{v}", f"{m}|{w}"
         for p in rcs.union.link(v):
             q = rcs.vsys.alpha[v][p]
             ce, ci = self._current_end(s.node, p)
@@ -370,10 +380,7 @@ class PartialUnion:
             self.edges[fe] = (ends[0], ends[1])
         self.vertices.discard(vv)
         self.vertices.discard(v1)
-        self.vertex_cell[(s.node, v)] = None
-        self.vertex_cell[(m, w)] = None
         self.consumed_by[(s.node, v)] = (m, w)
-        self._dirty()
         return m
 
     def _expand_e(self, s: Site) -> str:
@@ -383,20 +390,19 @@ class PartialUnion:
         self._add_copy(m, rcs.component_of(f0), s, skip_vertex=None)
 
         chain = self.arcs[(s.node, s.edge)]
-        hit = None
-        for idx, (ce, lo, hi) in enumerate(chain):
-            if lo < s.position < hi:
-                hit = idx
-                break
+        hit = _arc_at(chain, s.position)
         if hit is None:
             raise SurgeryError(f"site position {s.position} on {s.edge} already consumed")
         ce, lo, hi = chain[hit]
+        pf = f"{m}|{f0}"
+        cel, cer, pfl, pfr = f"{ce}l", f"{ce}r", f"{pf}l", f"{pf}r"
+        if not self.edges.keys().isdisjoint((cel, cer, pfl, pfr)):
+            raise SurgeryError(f"split arcs of {ce!r} or {pf!r} would reuse an edge id")
         u0, u1 = self.edges[ce]
         st = f"{s.node}|{s.edge}@{_frac_str(s.position)}t"
         sh = f"{s.node}|{s.edge}@{_frac_str(s.position)}h"
         self.vertices.add(st)
         self.vertices.add(sh)
-        cel, cer = f"{ce}l", f"{ce}r"
         del self.edges[ce]
         self.edges[cel] = (u0, st)
         self.edges[cer] = (sh, u1)
@@ -404,9 +410,7 @@ class PartialUnion:
 
         q = Fraction(1, 2 * (self.resolution + 1))
         qpos = q if o == 0 else 1 - q
-        pf = f"{m}|{f0}"
         p0, p1 = self.edges[pf]
-        pfl, pfr = f"{pf}l", f"{pf}r"
         del self.edges[pf]
         if o == 0:
             # partner's near-tail side is its reference-tail side
@@ -415,15 +419,16 @@ class PartialUnion:
         else:
             self.edges[pfl] = (p0, sh)
             self.edges[pfr] = (st, p1)
-        self.arcs[(m, f0)] = [(pfl, Fraction(0), qpos), (pfr, qpos, Fraction(1))]
-        self._dirty()
+        self.arcs[(m, f0)] = [(pfl, _ZERO, qpos), (pfr, qpos, _ONE)]
         return m
 
     def to_json_dict(self) -> dict:
         prov_v = {}
-        for (node, v), cur in sorted(self.vertex_cell.items()):
-            if cur is not None:
-                prov_v[cur] = {"node": node, "cell": v}
+        for node, info in self.nodes.items():
+            for v in self.rcs.component_cells(info.component)[0]:
+                cur = f"{node}|{v}"
+                if cur in self.vertices:
+                    prov_v[cur] = {"node": node, "cell": v}
         prov_e = {}
         for (node, e0), chain in sorted(self.arcs.items()):
             for ce, lo, hi in chain:
@@ -452,11 +457,11 @@ class PartialUnion:
 
 def init(rcs: GraphicalConnectingSystem, root: int, resolution: int, cap: int = 10000) -> PartialUnion:
     """One copy of the root component with its full site frontier."""
-    if not (0 <= root < len(rcs.names)):
-        raise SurgeryError(f"invalid root component index {root}")
     violations = validate(rcs)
     if violations:
-        raise SurgeryError("invalid connecting system: " + "; ".join(violations))
+        raise InvalidSystem(violations)
+    if not (0 <= root < len(rcs.names)):
+        raise SurgeryError(f"invalid root component index {root}")
     pu = PartialUnion(rcs, resolution, cap)
     pu._add_copy("n", rcs.names[root], None, skip_vertex=None)
     return pu
@@ -468,10 +473,7 @@ def expand_site(pu: PartialUnion, s: Site) -> PartialUnion:
         raise SurgeryError("site stale: not in the current frontier")
     out = pu.copy()
     out.frontier.remove(s)
-    if s.kind == "V":
-        out._expand_v(s)
-    else:
-        out._expand_e(s)
+    out._expand(s)
     return out
 
 
@@ -480,13 +482,9 @@ def expand_to_depth(pu: PartialUnion, d: int) -> PartialUnion:
     out = pu.copy()
     for level in range(d):
         todo = sorted((s for s in out.frontier if s.depth == level), key=Site.sort_key)
-        remaining = [s for s in out.frontier if s.depth != level]
-        out.frontier = remaining
+        out.frontier = [s for s in out.frontier if s.depth != level]
         for s in todo:
-            if s.kind == "V":
-                out._expand_v(s)
-            else:
-                out._expand_e(s)
+            out._expand(s)
     return out
 
 
@@ -505,27 +503,13 @@ def expand(
 CellTarget = tuple  # ("vertex", id) | ("edge", id) | ("interior", edge id, Fraction)
 
 
-def _attachment_site(deep: PartialUnion, shallow: PartialUnion, node: str) -> Site:
-    """The shallow-tree site whose expansion leads toward the given deep node."""
-    cur = node
-    while deep.nodes[cur].parent is not None and cur not in shallow.nodes:
-        parent = deep.nodes[cur].parent
-        if parent in shallow.nodes:
-            return deep.nodes[cur].via
-        cur = parent
-    raise SurgeryError(f"node {node} is not below the shallow tree")
-
-
 def _resolve_site_locus(shallow: PartialUnion, s: Site) -> CellTarget:
     if s.kind == "V":
-        cur = shallow.vertex_cell[(s.node, s.vertex)]
-        if cur is None:
+        cur = f"{s.node}|{s.vertex}"
+        if cur not in shallow.vertices:
             raise SurgeryError("attachment vertex consumed in the shallow union")
         return ("vertex", cur)
-    for ce, lo, hi in shallow.arcs[(s.node, s.edge)]:
-        if lo < s.position < hi:
-            return ("interior", ce, s.position)
-    raise SurgeryError("attachment position is a cut point of the shallow union")
+    return resolve_locus(shallow, s.node, s.edge, s.position)
 
 
 def project(deep: PartialUnion, shallow: PartialUnion) -> dict[tuple, CellTarget]:
@@ -541,8 +525,6 @@ def project(deep: PartialUnion, shallow: PartialUnion) -> dict[tuple, CellTarget
         if dinfo is None or dinfo.parent != info.parent:
             raise SurgeryError("shallow tree is not a prefix of the deep tree")
 
-    shallow_edges = shallow.edges
-    shallow_vertices = shallow.vertices
     # arc lookup for refined-edge mapping
     def containing_arc(node: str, e0: str, lo: Fraction, hi: Fraction) -> str:
         for ce, a, b in shallow.arcs[(node, e0)]:
@@ -554,18 +536,22 @@ def project(deep: PartialUnion, shallow: PartialUnion) -> dict[tuple, CellTarget
     locus_cache: dict[str, CellTarget] = {}
 
     def branch_locus(node: str) -> CellTarget:
+        """The shallow locus where the collapsed branch through node attaches."""
         if node not in locus_cache:
-            site = _attachment_site(deep, shallow, node)
-            locus_cache[node] = _resolve_site_locus(shallow, site)
+            info = deep.nodes[node]
+            if info.parent is None:
+                raise SurgeryError(f"node {node} is not below the shallow tree")
+            if info.parent in shallow.nodes:
+                locus_cache[node] = _resolve_site_locus(shallow, info.via)
+            else:
+                locus_cache[node] = branch_locus(info.parent)
         return locus_cache[node]
 
     deep_arc_info = {}
-    edge_node = {}
     incident: dict[str, list[str]] = {}
     for (node, e0), chain in deep.arcs.items():
         for ce, lo, hi in chain:
             deep_arc_info[ce] = (node, e0, lo, hi)
-            edge_node[ce] = node
     for e, (t, h) in deep.edges.items():
         incident.setdefault(t, []).append(e)
         incident.setdefault(h, []).append(e)
@@ -578,7 +564,7 @@ def project(deep: PartialUnion, shallow: PartialUnion) -> dict[tuple, CellTarget
             cell_map[("edge", e)] = branch_locus(node)
 
     for v in deep.vertices:
-        if v in shallow_vertices:
+        if v in shallow.vertices:
             cell_map[("vertex", v)] = ("vertex", v)
             continue
         # surgery vertices live on the boundary between a node and its child;
@@ -590,7 +576,7 @@ def project(deep: PartialUnion, shallow: PartialUnion) -> dict[tuple, CellTarget
             # with that child, so some incident edge belongs to the child
             child = None
             for e in incident.get(v, ()):
-                n2 = edge_node[e]
+                n2 = deep_arc_info[e][0]
                 if n2 not in shallow.nodes:
                     child = n2
                     break
@@ -641,7 +627,7 @@ def lift_vertex(pu: PartialUnion, node: str, v: str) -> tuple[str, str, str]:
     in that gluing. Returns (node, component cell, current graph vertex id).
     """
     rcs = pu.rcs
-    while pu.vertex_cell.get((node, v)) is None:
+    while f"{node}|{v}" not in pu.vertices:
         if (node, v) not in pu.consumed_by:
             raise SurgeryError(f"vertex ({node}, {v}) unknown or untracked")
         child, glued = pu.consumed_by[(node, v)]
@@ -654,7 +640,7 @@ def lift_vertex(pu: PartialUnion, node: str, v: str) -> tuple[str, str, str]:
                 f"ambiguous lift: {len(candidates)} degree-{deg} candidates in {comp}"
             )
         node, v = child, candidates[0]
-    return node, v, pu.vertex_cell[(node, v)]
+    return node, v, f"{node}|{v}"
 
 
 def resolve_locus(pu: PartialUnion, node: str, cell: str, position: Optional[Fraction] = None):
@@ -664,12 +650,14 @@ def resolve_locus(pu: PartialUnion, node: str, cell: str, position: Optional[Fra
     the current arc containing the position (or the splice vertex at it).
     """
     if position is None:
-        n2, v2, cur = lift_vertex(pu, node, cell)
-        return ("vertex", cur)
-    for ce, lo, hi in pu.arcs[(node, cell)]:
-        if lo < position < hi:
-            return ("interior", ce, position)
-    raise SurgeryError(f"position {position} on ({node}, {cell}) is a cut point")
+        return ("vertex", lift_vertex(pu, node, cell)[2])
+    chain = pu.arcs.get((node, cell))
+    if chain is None:
+        raise SurgeryError(f"({node}, {cell}) is not an edge of the partial union")
+    hit = _arc_at(chain, position)
+    if hit is None:
+        raise SurgeryError(f"position {position} on ({node}, {cell}) is a cut point")
+    return ("interior", chain[hit][0], position)
 
 
 def degree_of_target(pu: PartialUnion, target) -> int:

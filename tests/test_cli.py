@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import tog
 from generators import random_theta_sum
 from tog.cli import Config, _canonical, main
-from tog.jsj_frontend import golden_g2, synthesize
+from tog.jsj_frontend import golden_g2, golden_racg1, synthesize
 from tog.multigraph import (
     Interior,
     SurgeryError,
@@ -180,6 +180,26 @@ RCS_LIST_GRAPH = dict(RCS_DOC, components=[dict(RCS_DOC["components"][0], graph=
 # a-links naming a cell of an unknown component "zz", in the domain or the range of a
 RCS_UNKNOWN_DOMAIN = dict(RCS_DOC, a=RCS_DOC["a"] + [["zz:u", "c0:u"]])
 RCS_UNKNOWN_RANGE = dict(RCS_DOC, a=[[v, "zz:q" if v == "c0:u" else w] for v, w in RCS_DOC["a"]])
+# gluing entries whose first end has one element instead of (edge, end index)
+RCS_SHORT_ALPHA_END = dict(
+    RCS_DOC, alpha=dict(RCS_DOC["alpha"], **{"c0:u": [[["c0:e1"], ["c0:e1", 0]]]})
+)
+RCS_SHORT_A_END = dict(RCS_DOC, econnections=[[["c0:e1"], ["c0:e1", 0]]])
+RCS_RESERVED_NAME = dict(RCS_DOC, components=[dict(RCS_DOC["components"][0], name="c0:x")])
+
+
+def jsj_doc(golden, path, value):
+    """A golden JSJ input document with the value at path replaced."""
+    doc = json.loads(json.dumps(golden().to_json_dict()))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return json.dumps(doc)
+
+
+ANALYZE = ["rcs", "analyze", "{doc}"]
+JSJ = ["jsj", "synth", "{doc}"]
 MALFORMED = {
     "top-level-array": ("[1, 2]", ["graph", "{doc}"]),
     "vsystem-array": ("[]", ["vsystem", "{doc}"]),
@@ -194,11 +214,28 @@ MALFORMED = {
     "vsystem-list-alpha": (json.dumps(dict(VSYSTEM_DOC, alpha=[])), ["vsystem", "{doc}"]),
     "rcs-a-unknown-domain": (json.dumps(RCS_UNKNOWN_DOMAIN), ["rcs", "validate", "{doc}"]),
     "rcs-a-unknown-range": (json.dumps(RCS_UNKNOWN_RANGE), ["rcs", "expand", "{doc}"]),
+    "rcs-short-alpha-end": (json.dumps(RCS_SHORT_ALPHA_END), ["rcs", "validate", "{doc}"]),
+    "rcs-short-econnection-end": (json.dumps(RCS_SHORT_A_END), ["rcs", "validate", "{doc}"]),
+    "rcs-reserved-name": (json.dumps(RCS_RESERVED_NAME), ["rcs", "validate", "{doc}"]),
+    "analyze-vertex-position": (json.dumps(RCS_DOC), ANALYZE + ["--cell", "c0:u", "--position", "1/5"]),
+    "analyze-unknown-edge": (json.dumps(RCS_DOC), ANALYZE + ["--cell", "c0:e9", "--position", "1/5"]),
+    "analyze-unknown-pair-edge": (
+        json.dumps(RCS_DOC),
+        ANALYZE + ["--cell", "c0:u", "--pair-cell", "c0:zz", "--pair-position", "1/3"],
+    ),
+    "jsj-string-k": (jsj_doc(golden_racg1, ("reps", 0, "k"), "3"), JSJ),
+    "jsj-int-rep-id": (jsj_doc(golden_g2, ("reps", 0, "id"), 7), JSJ),
+    "jsj-list-orbit-id": (jsj_doc(golden_g2, ("flexible_orbits", 0, "id"), ["y1"]), JSJ),
+    "jsj-list-orbit-ref": (jsj_doc(golden_racg1, ("reps", 0, "edge_assignments", 0, 0), []), JSJ),
+    "jsj-list-label": (jsj_doc(golden_g2, ("reps", 0, "peripherals", 0, "label"), []), JSJ),
 }
-# cases that decode but fail the V-system check, with their first violation
+# cases that decode but fail a later check, with their first violation
 FIRST_VIOLATION = {
     "rcs-a-unknown-domain": "InvolutionDomain",
     "rcs-a-unknown-range": "InvolutionRange",
+    "analyze-vertex-position": "SurgeryError",
+    "analyze-unknown-edge": "SurgeryError",
+    "analyze-unknown-pair-edge": "SurgeryError",
 }
 
 
@@ -291,27 +328,46 @@ def test_analyze_output_digest(tmp_path, capsys):
 
 
 def test_import_cli_leaves_networkx_unloaded(tmp_path):
+    # every subcommand, run in one fresh interpreter, loads only tog and the
+    # standard library
     graph = write_json(tmp_path, "k4.json", complete_graph(4).to_json_dict())
     twin = write_json(tmp_path, "theta.json", theta_graph(4).to_json_dict())
+    vsys = write_json(tmp_path, "vs.json", VSYSTEM_DOC)
+    refl = write_json(tmp_path, "refl.json", RCS_DOC)
     runs = [
         ["graph", graph],
         ["twin-decompose", twin],
         ["whitehead", "--rank", "2", "--words", "a,b,ab"],
+        ["vsystem", vsys],
+        ["rcs", "validate", refl],
+        ["rcs", "expand", refl, "--depth", "1"],
+        ["rcs", "analyze", refl, "--depth", "1", "--cell", "c0:u", "--pair-cell", "c0:w"],
         ["jsj", "synth", "--golden", "g2"],
     ]
     probe = (
         "import contextlib, io, sys\n"
+        "before = set(sys.modules)\n"
         "from tog.cli import main\n"
         f"for argv in {runs!r}:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert main(argv) == 0, argv\n"
-        "print('networkx' in sys.modules)"
+        "roots = {m.split('.')[0] for m in set(sys.modules) - before}\n"
+        "print(sorted(roots - set(sys.stdlib_module_names) - {'tog'}))"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(tog.__file__).resolve().parent.parent))
     out = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
+
+
+def test_expand_and_analyze_report_violations_like_validate(tmp_path, capsys):
+    # the not-swap-closed system: one E-connection pair dropped
+    path = write_json(tmp_path, "broken.json", dict(RCS_DOC, econnections=RCS_DOC["econnections"][1:]))
+    code, expected = run(capsys, "rcs", "validate", path)
+    assert code == 1 and json.loads(expected)["violations"]
+    for argv in (["expand", path], ["analyze", path, "--cell", "c0:u"]):
+        assert run(capsys, "rcs", *argv) == (1, expected)
 
 
 # -- tog/1 schema -----------------------------------------------------------

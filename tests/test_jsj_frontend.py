@@ -19,7 +19,8 @@ from tog.jsj_frontend import (
     packets,
     synthesize,
 )
-from tog.multigraph import complete_graph, is_isomorphic
+from oracles import is_isomorphic
+from tog.multigraph import complete_graph
 from tog.rcs import validate as rcs_validate
 from tog.vsystem import bar
 from tog.words_whitehead import PeripheralSpec, cyclically_reduce

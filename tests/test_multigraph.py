@@ -3,12 +3,12 @@
 import random
 from fractions import Fraction
 
-import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from generators import random_sum_pair, random_two_connected
+from oracles import is_homeomorphic, is_isomorphic, smoothed, two_connected_by_definition
 from tog.multigraph import (
     Interior,
     Multigraph,
@@ -21,10 +21,7 @@ from tog.multigraph import (
     components,
     connected_sum,
     cut_counts,
-    is_homeomorphic,
-    is_isomorphic,
     is_two_connected,
-    smoothed,
     theta_graph,
 )
 
@@ -124,29 +121,6 @@ def test_complement_components_counts():
 # -- 2-connectivity against a subdivision oracle ---------------------------
 
 
-def _oracle_two_connected(g: Multigraph) -> bool:
-    """Definitional check: connected, >= 2 vertices, no bridge (parallel
-    edges are never bridges), and the blow-up at every vertex connected."""
-    if not g.vertices or len(g.vertices) < 2:
-        return False
-    if len(components(g)) != 1:
-        return False
-    parallel = {}
-    for e in g.edge_ids():
-        parallel.setdefault(frozenset(g.ends(e)), []).append(e)
-    for pair, es in parallel.items():
-        if len(pair) == 1 or len(es) > 1:
-            continue
-        rest = g.edges
-        del rest[es[0]]
-        if len(components(Multigraph(g.vertices, rest))) > 1:
-            return False
-    for v in g.vertex_ids():
-        if len(components(blow_up(g, [Vertex(v)]).graph)) > 1:
-            return False
-    return True
-
-
 def _random_multigraph(rng: random.Random) -> Multigraph:
     """Random ends, loops allowed; about 3% of these are 2-connected."""
     n = rng.randint(1, 8)
@@ -179,7 +153,7 @@ def _perturbed_two_connected(rng: random.Random) -> Multigraph:
 @given(st.sampled_from([_random_multigraph, _perturbed_two_connected]), st.integers(0, 10**6))
 def test_two_connected_matches_oracle(make, seed):
     g = make(random.Random(seed))
-    assert is_two_connected(g) == _oracle_two_connected(g)
+    assert is_two_connected(g) == two_connected_by_definition(g)
 
 
 def _delete(g: Multigraph, gone: set) -> Multigraph:

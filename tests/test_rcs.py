@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from tog.multigraph import Multigraph, SurgeryError, is_two_connected, theta_graph
 from tog.rcs import (
     GraphicalConnectingSystem,
+    InvalidSystem,
     ResourceCapExceeded,
     Site,
     analyze_point,
@@ -68,6 +69,19 @@ def test_validate_flags_loop_component():
     g = Multigraph({"u", "w"}, {"e": ("u", "w"), "f": ("u", "w"), "l": ("u", "u")})
     sys_ = reflection_system(g)
     assert any(c.startswith("LoopEdge") for c in validate(sys_))
+
+
+def test_build_rejects_id_separators_in_names_and_cells():
+    # "a" with cell "b:u" and "a:b" with cell "u" would both give "a:b:u"
+    g1, g2 = theta_graph(3, "b:"), theta_graph(3)
+    with pytest.raises(SurgeryError, match="component name"):
+        GraphicalConnectingSystem.build([("a", g1), ("a:b", g2)], {}, {}, [])
+    sys_ = GraphicalConnectingSystem.build([("a", g1), ("c", g2)], {}, {}, [])
+    assert (len(sys_.union.vertices), len(sys_.union.edges)) == (4, 6)
+    assert sys_.component_cells("a")[0] == ["a:b:u", "a:b:w"]
+    for bad in ("x|", "x&", "x@"):
+        with pytest.raises(SurgeryError, match="cell"):
+            reflection_system(theta_graph(3, bad))
 
 
 def test_json_round_trip(refl3):
@@ -177,12 +191,28 @@ def test_determinism(refl3):
     assert a == b
 
 
+def test_split_arc_ids_never_overwrite_an_edge():
+    # splitting e1 at depth 1 names its arcs e1l and e1r
+    def theta_with(second: str):
+        g = Multigraph({"u", "w"}, {e: ("u", "w") for e in ("e1", second, "e2")})
+        return init(reflection_system(g), 0, 1)
+
+    pu = expand_to_depth(theta_with("ex"), 1)
+    arcs = sum(len(chain) for chain in pu.arcs.values())
+    assert len(pu.edges) == arcs == 24
+    with pytest.raises(SurgeryError, match="reuse an edge id"):
+        expand_to_depth(theta_with("e1l"), 1)
+
+
 def test_invalid_root_and_invalid_system(refl3):
     with pytest.raises(SurgeryError):
         init(refl3, 5, 2)
     g = Multigraph({"u", "w"}, {"e": ("u", "w"), "l": ("u", "u"), "f": ("u", "w")})
-    with pytest.raises(SurgeryError):
-        init(reflection_system(g), 0, 2)
+    sys_ = reflection_system(g)
+    for root in (0, 5):  # validity is checked before the root index
+        with pytest.raises(InvalidSystem) as info:
+            init(sys_, root, 2)
+        assert info.value.violations == validate(sys_) != []
 
 
 # -- projections -----------------------------------------------------------

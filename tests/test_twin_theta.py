@@ -8,12 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from generators import random_theta_sum, random_two_connected
+from oracles import scan_twin
 from tog.multigraph import (
     Interior,
     Multigraph,
     SurgeryError,
     Vertex,
-    complement_components,
     complete_graph,
     theta_graph,
 )
@@ -120,22 +120,6 @@ def test_split_removes_only_its_twin_pair(seed):
         assert essential_twin_pairs(after) == pairs
 
 
-def _scan_twin(g: Multigraph, x: str):
-    """Definitional twin of x: every equal-degree y whose complement pair
-    {x, y} has deg x components, counted on the blow-up."""
-    d = g.degree(x)
-    found = [
-        y
-        for y in g.vertex_ids()
-        if y != x
-        and g.degree(y) == d
-        and complement_components(g, [Vertex(x), Vertex(y)])[0] == d
-    ]
-    if len(found) > 1:
-        raise SurgeryError(f"vertex {x!r} has more than one twin: {found}")
-    return found[0] if found else None
-
-
 def _twin_or_error(find, g: Multigraph, x: str):
     try:
         return find(g, x)
@@ -150,7 +134,7 @@ def test_essential_twin_matches_blow_up_scan(theta_sum, seed):
     g = random_theta_sum(rng)[0] if theta_sum else random_two_connected(rng)
     for x in g.vertex_ids():
         if g.degree(x) >= 3:
-            assert _twin_or_error(essential_twin, g, x) == _twin_or_error(_scan_twin, g, x)
+            assert _twin_or_error(essential_twin, g, x) == _twin_or_error(scan_twin, g, x)
 
 
 def test_essential_twin_requires_essential_vertex():

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tog.multigraph import complete_graph, is_isomorphic, is_two_connected
+from oracles import is_isomorphic
+from tog.multigraph import complete_graph, is_two_connected
 from tog.vsystem import validate as vs_validate
 from tog.words_whitehead import (
     ConjugateWords,
