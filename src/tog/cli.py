@@ -184,7 +184,8 @@ def _cmd_whitehead(args) -> int:
         vsys = whitehead_v_involution(W)
         labels_out = {e: W.edge_labels[e] for e in W.graph.edge_ids()}
     if args.emit == "dot":
-        print(W.graph.to_dot(edge_labels={e: str(W.edge_labels[e]) for e in W.graph.edge_ids()}))
+        edge_attrs = {e: f'label="{e}:{lab}"' for e, lab in W.edge_labels.items()}
+        print(W.graph.to_dot(edge_attrs=edge_attrs))
         return 0
     _emit_json(
         {
@@ -215,26 +216,15 @@ def _cmd_rcs_validate(args) -> int:
 
 
 def _expansion_dot(pu: _rcs.PartialUnion) -> str:
-    doc = pu.to_json_dict()
-    prov_v = doc["provenance"]["vertices"]
-    lines = ["graph expansion {"]
-    for v in sorted(pu.vertices):
-        if v in prov_v:
-            rec = prov_v[v]
-            attrs = f'node="{rec["node"]}", cell="{rec["cell"]}"'
-        else:
-            attrs = 'kind="surgery"'
-        lines.append(f'  "{v}" [{attrs}];')
-    prov_e = doc["provenance"]["edges"]
-    for e in sorted(pu.edges):
-        t, h = pu.edges[e]
-        rec = prov_e.get(e)
-        attrs = f'label="{e}"'
-        if rec is not None:
-            attrs += f', node="{rec["node"]}", cell="{rec["cell"]}", interval="{rec["interval"][0]}:{rec["interval"][1]}"'
-        lines.append(f'  "{t}" -- "{h}" [{attrs}];')
-    lines.append("}")
-    return "\n".join(lines)
+    prov_v, prov_e = pu.provenance()
+    vertex_attrs = {v: 'kind="surgery"' for v in pu.vertices}
+    vertex_attrs.update((v, f'node="{r["node"]}", cell="{r["cell"]}"') for v, r in prov_v.items())
+    edge_attrs = {
+        e: f'label="{e}", node="{r["node"]}", cell="{r["cell"]}", '
+        f'interval="{":".join(r["interval"])}"'
+        for e, r in prov_e.items()
+    }
+    return pu.graph.to_dot("expansion", vertex_attrs, edge_attrs)
 
 
 def _cmd_rcs_expand(args, cfg: Config) -> int:

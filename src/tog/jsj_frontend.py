@@ -25,6 +25,7 @@ from .vsystem import OrientedEdge, bar, theta_standard_system
 from .words_whitehead import (
     PeripheralSpec,
     check_rigidity_proxy,
+    cyclically_reduce,
     extended_whitehead_graph,
     word_str,
 )
@@ -136,8 +137,6 @@ class JsjInput:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "JsjInput":
-        from .words_whitehead import cyclically_reduce
-
         if data.get("schema") != "tog/1":
             raise SurgeryError("missing or unsupported schema tag (expected 'tog/1')")
         orbits = [
@@ -158,7 +157,10 @@ class JsjInput:
             elif rec["kind"] == "rigid":
                 periph = [
                     PeripheralSpec(
-                        cyclically_reduce(p["word"], _typed(p["label"], str, "peripheral label")),
+                        cyclically_reduce(
+                            _typed(p["word"], str, "peripheral word"),
+                            _typed(p["label"], str, "peripheral label"),
+                        ),
                         _typed(p["multiplicity"], int, f"rep {rid} multiplicity"),
                     )
                     for p in rec["peripherals"]
@@ -369,8 +371,6 @@ def golden_g2() -> JsjInput:
     """One rigid cluster of rank 2 with peripherals a, b, and the commutator,
     all of multiplicity 2; the two diagonal orbits are orientable and the
     boundary orbit is not."""
-    from .words_whitehead import cyclically_reduce
-
     periph = [
         PeripheralSpec(cyclically_reduce("a", "a"), 2),
         PeripheralSpec(cyclically_reduce("b", "b"), 2),

@@ -151,19 +151,29 @@ class Multigraph:
         edges = {}
         for rec in data.get("edges", []):
             e, ends = rec["id"], rec["ends"]
+            if type(e) is not str:
+                raise SurgeryError(f"edge id {e!r} must be a string")
             if not isinstance(ends, list) or len(ends) != 2:
                 raise SurgeryError(f"edge {e!r} must have exactly two ends")
             edges[e] = (ends[0], ends[1])
         return cls(vertices, edges)
 
-    def to_dot(self, name: str = "g", edge_labels: Optional[Mapping[str, str]] = None) -> str:
+    def to_dot(
+        self,
+        name: str = "g",
+        vertex_attrs: Optional[Mapping[str, str]] = None,
+        edge_attrs: Optional[Mapping[str, str]] = None,
+    ) -> str:
+        """DOT text with preformatted attributes by id; edges default to label="<id>"."""
+        vertex_attrs, edge_attrs = vertex_attrs or {}, edge_attrs or {}
         lines = [f"graph {name} {{"]
         for v in self.vertex_ids():
-            lines.append(f'  "{v}";')
+            attrs = vertex_attrs.get(v)
+            lines.append(f'  "{v}";' if attrs is None else f'  "{v}" [{attrs}];')
         for e in self.edge_ids():
             t, h = self._edges[e]
-            label = e if edge_labels is None else f"{e}:{edge_labels.get(e, '')}"
-            lines.append(f'  "{t}" -- "{h}" [label="{label}"];')
+            attrs = edge_attrs.get(e, f'label="{e}"')
+            lines.append(f'  "{t}" -- "{h}" [{attrs}];')
         lines.append("}")
         return "\n".join(lines)
 

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .multigraph import Multigraph, SurgeryError, components as graph_components
+from .multigraph import Interior, Multigraph, SurgeryError, Vertex, complement_components
+from .multigraph import components as graph_components
 from .vsystem import ConnectingVSystem, End, OrientedEdge, bar
 from . import vsystem as _vsystem
 
@@ -113,11 +114,7 @@ class GraphicalConnectingSystem:
                 {"name": n, "graph": g.to_json_dict()}
                 for n, g in zip(self.names, self.components)
             ],
-            "a": [[v, self.vsys.a[v]] for v in sorted(self.vsys.a)],
-            "alpha": {
-                v: [[list(p), list(q)] for p, q in sorted(m.items())]
-                for v, m in sorted(self.vsys.alpha.items())
-            },
+            **_vsystem.encode_gluing(self.vsys),
             "econnections": sorted(
                 [list(e1), list(e2)] for e1, e2 in self.econnections
             ),
@@ -252,6 +249,15 @@ def _arc_at(chain: list[tuple[str, Fraction, Fraction]], pos: Fraction) -> Optio
     return None
 
 
+def _seams(rcs: GraphicalConnectingSystem, s: Site) -> list[str]:
+    """The seam vertices that expanding s creates: one per end in the link of
+    a V-site's vertex, in link order; (tail side, head side) of an E-site."""
+    if s.kind == "V":
+        return [f"{s.node}|{s.vertex}&{e}.{i}" for e, i in rcs.union.link(s.vertex)]
+    at = f"{s.node}|{s.edge}@{_frac_str(s.position)}"
+    return [f"{at}t", f"{at}h"]
+
+
 @dataclass
 class NodeInfo:
     parent: Optional[str]
@@ -265,10 +271,12 @@ class PartialUnion:
 
     The graph is built by iterated connected sums: one copy of a component
     per tree node, glued at expanded sites. Cell ids are "<node>|<cell>" for
-    cells inherited from a component copy; surgery vertices carry derived
-    deterministic ids. Copy vertex (node, v) is alive while "<node>|<v>" is a
-    vertex; consumed_by records the child cell that absorbed it. arcs holds,
-    per (node, original edge), the current arcs covering that edge's (0,1).
+    cells inherited from a component copy; the seam vertices a gluing
+    creates are named by _seams. Copy vertex (node, v) is alive while
+    "<node>|<v>" is a vertex; consumed_by records the child cell that
+    absorbed it. arcs holds, per (node, original edge), the current arcs
+    covering that edge's (0,1); the arcs are exactly the current edges, each
+    once.
     """
 
     def __init__(self, rcs: GraphicalConnectingSystem, resolution: int, cap: int = 10000):
@@ -365,21 +373,17 @@ class PartialUnion:
         m = self._new_child(s.node)
         self._add_copy(m, rcs.component_of(w), s, skip_vertex=w)
 
-        vv, v1 = f"{s.node}|{v}", f"{m}|{w}"
-        for p in rcs.union.link(v):
+        for p, merged in zip(rcs.union.link(v), _seams(rcs, s)):
             q = rcs.vsys.alpha[v][p]
             ce, ci = self._current_end(s.node, p)
             fe, fi = self._current_end(m, q)
-            merged = f"{vv}&{p[0]}.{p[1]}"
             self.vertices.add(merged)
-            ends = list(self.edges[ce])
-            ends[ci] = merged
-            self.edges[ce] = (ends[0], ends[1])
-            ends = list(self.edges[fe])
-            ends[fi] = merged
-            self.edges[fe] = (ends[0], ends[1])
-        self.vertices.discard(vv)
-        self.vertices.discard(v1)
+            for e, i in ((ce, ci), (fe, fi)):
+                ends = list(self.edges[e])
+                ends[i] = merged
+                self.edges[e] = (ends[0], ends[1])
+        self.vertices.discard(f"{s.node}|{v}")
+        self.vertices.discard(f"{m}|{w}")
         self.consumed_by[(s.node, v)] = (m, w)
         return m
 
@@ -399,8 +403,7 @@ class PartialUnion:
         if not self.edges.keys().isdisjoint((cel, cer, pfl, pfr)):
             raise SurgeryError(f"split arcs of {ce!r} or {pf!r} would reuse an edge id")
         u0, u1 = self.edges[ce]
-        st = f"{s.node}|{s.edge}@{_frac_str(s.position)}t"
-        sh = f"{s.node}|{s.edge}@{_frac_str(s.position)}h"
+        st, sh = _seams(rcs, s)
         self.vertices.add(st)
         self.vertices.add(sh)
         del self.edges[ce]
@@ -422,22 +425,24 @@ class PartialUnion:
         self.arcs[(m, f0)] = [(pfl, _ZERO, qpos), (pfr, qpos, _ONE)]
         return m
 
-    def to_json_dict(self) -> dict:
+    def provenance(self) -> tuple[dict[str, dict], dict[str, dict]]:
+        """(vertices, edges): the node and component cell of each surviving copy
+        vertex (seam vertices have none), and of each edge with its interval."""
         prov_v = {}
         for node, info in self.nodes.items():
             for v in self.rcs.component_cells(info.component)[0]:
                 cur = f"{node}|{v}"
                 if cur in self.vertices:
                     prov_v[cur] = {"node": node, "cell": v}
-        prov_e = {}
-        for (node, e0), chain in sorted(self.arcs.items()):
-            for ce, lo, hi in chain:
-                if ce in self.edges:
-                    prov_e[ce] = {
-                        "node": node,
-                        "cell": e0,
-                        "interval": [_frac_str(lo), _frac_str(hi)],
-                    }
+        prov_e = {
+            ce: {"node": node, "cell": e0, "interval": [_frac_str(lo), _frac_str(hi)]}
+            for (node, e0), chain in self.arcs.items()
+            for ce, lo, hi in chain
+        }
+        return prov_v, prov_e
+
+    def to_json_dict(self) -> dict:
+        prov_v, prov_e = self.provenance()
         tree = {}
         for node, info in sorted(self.nodes.items()):
             tree[node] = {
@@ -525,7 +530,6 @@ def project(deep: PartialUnion, shallow: PartialUnion) -> dict[tuple, CellTarget
         if dinfo is None or dinfo.parent != info.parent:
             raise SurgeryError("shallow tree is not a prefix of the deep tree")
 
-    # arc lookup for refined-edge mapping
     def containing_arc(node: str, e0: str, lo: Fraction, hi: Fraction) -> str:
         for ce, a, b in shallow.arcs[(node, e0)]:
             if a <= lo and hi <= b:
@@ -547,44 +551,28 @@ def project(deep: PartialUnion, shallow: PartialUnion) -> dict[tuple, CellTarget
                 locus_cache[node] = branch_locus(info.parent)
         return locus_cache[node]
 
-    deep_arc_info = {}
-    incident: dict[str, list[str]] = {}
+    # every deep edge is one arc of its node's chain (the PartialUnion invariant)
     for (node, e0), chain in deep.arcs.items():
-        for ce, lo, hi in chain:
-            deep_arc_info[ce] = (node, e0, lo, hi)
-    for e, (t, h) in deep.edges.items():
-        incident.setdefault(t, []).append(e)
-        incident.setdefault(h, []).append(e)
-
-    for e, (t, h) in deep.edges.items():
-        node, e0, lo, hi = deep_arc_info[e]
         if node in shallow.nodes:
-            cell_map[("edge", e)] = ("edge", containing_arc(node, e0, lo, hi))
+            for ce, lo, hi in chain:
+                cell_map[("edge", ce)] = ("edge", containing_arc(node, e0, lo, hi))
         else:
-            cell_map[("edge", e)] = branch_locus(node)
-
-    for v in deep.vertices:
+            locus = branch_locus(node)
+            for ce, _, _ in chain:
+                cell_map[("edge", ce)] = locus
+    # a vertex the shallow union lacks is a copy vertex of a collapsed node,
+    # which names its node, or a seam of the gluing that created one
+    seam_node = {
+        seam: node
+        for node, info in deep.nodes.items()
+        if node not in shallow.nodes
+        for seam in _seams(deep.rcs, info.via)
+    }
+    for v in deep.vertices:  # keys reuse deep's id strings
         if v in shallow.vertices:
             cell_map[("vertex", v)] = ("vertex", v)
-            continue
-        # surgery vertices live on the boundary between a node and its child;
-        # plain cells carry their node in the id prefix
-        node = v.split("|", 1)[0]
-        if node in shallow.nodes:
-            # surgery vertex created while expanding a site of a shallow node
-            # whose child is not in the shallow tree: it sits on the boundary
-            # with that child, so some incident edge belongs to the child
-            child = None
-            for e in incident.get(v, ()):
-                n2 = deep_arc_info[e][0]
-                if n2 not in shallow.nodes:
-                    child = n2
-                    break
-            if child is None:
-                raise SurgeryError(f"cannot locate collapsing branch for vertex {v}")
-            cell_map[("vertex", v)] = branch_locus(child)
         else:
-            cell_map[("vertex", v)] = branch_locus(node)
+            cell_map[("vertex", v)] = branch_locus(seam_node.get(v) or v.split("|", 1)[0])
     return cell_map
 
 
@@ -660,12 +648,6 @@ def resolve_locus(pu: PartialUnion, node: str, cell: str, position: Optional[Fra
     return ("interior", chain[hit][0], position)
 
 
-def degree_of_target(pu: PartialUnion, target) -> int:
-    if target[0] == "vertex":
-        return pu.graph.degree(target[1])
-    return 2
-
-
 def analyze_point(
     pus: Sequence[PartialUnion],
     locus: tuple,
@@ -677,12 +659,10 @@ def analyze_point(
     interior point. With pair_with, also reports the component count of the
     complement of the two tracked points at each depth.
     """
-    from .multigraph import Interior, Vertex, complement_components
-
     entries = []
     for pu in pus:
         tgt = resolve_locus(pu, *locus)
-        entry = {"target": tgt, "degree": degree_of_target(pu, tgt)}
+        entry = {"target": tgt, "degree": pu.graph.degree(tgt[1]) if tgt[0] == "vertex" else 2}
         if pair_with is not None:
             tgt2 = resolve_locus(pu, *pair_with)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .multigraph import Multigraph, SurgeryError, components
+from .multigraph import Multigraph, SurgeryError, theta_graph
 
 OrientedEdge = tuple[str, int]  # (edge id, orientation); 0 = reference direction
 End = tuple[str, int]  # (edge id, end index)
@@ -55,11 +55,7 @@ class ConnectingVSystem:
         return {
             "schema": "tog/1",
             "graph": self.graph.to_json_dict(),
-            "a": [[v, self.a[v]] for v in sorted(self.a)],
-            "alpha": {
-                v: [[list(p), list(q)] for p, q in sorted(m.items())]
-                for v, m in sorted(self.alpha.items())
-            },
+            **encode_gluing(self),
         }
 
     @classmethod
@@ -70,8 +66,22 @@ class ConnectingVSystem:
         return cls(graph, *decode_gluing(data))
 
 
+def encode_gluing(vs: ConnectingVSystem) -> dict:
+    """The "a" and "alpha" entries of a tog/1 document; inverse of decode_gluing."""
+    return {
+        "a": [[v, vs.a[v]] for v in sorted(vs.a)],
+        "alpha": {
+            v: [[list(p), list(q)] for p, q in sorted(m.items())]
+            for v, m in sorted(vs.alpha.items())
+        },
+    }
+
+
 def decode_gluing(data: dict) -> tuple[dict[str, str], dict[str, dict[End, End]]]:
     """The involution a and the link bijections alpha of a tog/1 document."""
+    for pair in data["a"]:
+        if type(pair) is not list or len(pair) != 2 or not all(type(c) is str for c in pair):
+            raise SurgeryError(f"'a' entry {pair!r} must be a pair of cell ids")
     a = {v: w for v, w in data["a"]}
     if not isinstance(data["alpha"], dict):
         raise SurgeryError("'alpha' must be an object")
@@ -213,29 +223,25 @@ def _vertex_profile(
     return tuple((tail_vertex(g, eps), head_vertex(g, eps)) for eps in orbit)
 
 
-def _share_ends(vs: ConnectingVSystem, l1: Line, l2: Line) -> bool:
-    """Synchronized joint-orbit check: can the two lines be aligned so their
-    (tail, head) vertex pairs agree at every step over a full common period?"""
-    import math
-
-    p1, p2 = l1.period, l2.period
-    lcm = math.lcm(p1, p2)
-    prof1 = _vertex_profile(vs, l1.orbit)
-    for orbit2 in (l2.orbit, _mirror(l2.orbit)):
-        prof2 = _vertex_profile(vs, orbit2)
-        for s in range(p2):
-            if all(prof1[t % p1] == prof2[(t + s) % p2] for t in range(lcm)):
-                return True
-    return False
+def _profile_key(vs: ConnectingVSystem, orbit: tuple[OrientedEdge, ...]) -> tuple:
+    """The least rotation of the primitive root of orbit's vertex profile."""
+    prof = _vertex_profile(vs, orbit)
+    n = len(prof)
+    d = next(d for d in range(1, n + 1) if n % d == 0 and prof == prof[:d] * (n // d))
+    return min(prof[i:d] + prof[:i] for i in range(d))
 
 
 def lines_sharing_ends(vs: ConnectingVSystem) -> list[list[Line]]:
-    """Group lines whose induced geodesics coincide (shared end pairs)."""
-    ls = lines(vs)
-    n = len(ls)
-    shared = [(i, j) for i in range(n) for j in range(i + 1, n) if _share_ends(vs, ls[i], ls[j])]
-    groups = components(Multigraph(range(n), dict(enumerate(shared))))
-    return sorted(([ls[i] for i in sorted(c)] for c in groups), key=lambda grp: grp[0].orbit)
+    """Group lines whose induced geodesics coincide (shared end pairs).
+
+    Two lines share ends iff the primitive root of one's vertex profile is a
+    rotation of the other's or of its mirror's, so the lesser key names a group.
+    """
+    groups: dict[tuple, list[Line]] = {}
+    for ln in lines(vs):  # sorted, so the groups come out sorted by first orbit
+        key = min(_profile_key(vs, ln.orbit), _profile_key(vs, _mirror(ln.orbit)))
+        groups.setdefault(key, []).append(ln)
+    return list(groups.values())
 
 
 def theta_standard_system(k: int, prefix: str = "") -> ConnectingVSystem:
@@ -245,8 +251,6 @@ def theta_standard_system(k: int, prefix: str = "") -> ConnectingVSystem:
     tautological: each edge-end at one vertex maps to the other end of the
     same edge. Every line consists of appearances of a single edge.
     """
-    from .multigraph import theta_graph
-
     g = theta_graph(k, prefix)
     u, w = prefix + "u", prefix + "w"
     a = {u: w, w: u}

@@ -6,11 +6,15 @@ oracle, and nowhere in ``tog``.
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
 from typing import Optional
 
 import networkx as nx
 
 from tog.multigraph import Multigraph, SurgeryError, Vertex, blow_up, complement_components, components
+from tog.rcs import CellTarget, PartialUnion, _resolve_site_locus
+from tog.vsystem import ConnectingVSystem, Line, _mirror, _vertex_profile
 
 
 def smoothed(g: Multigraph) -> Multigraph:
@@ -101,3 +105,73 @@ def scan_twin(g: Multigraph, x: str) -> Optional[str]:
     if len(found) > 1:
         raise SurgeryError(f"vertex {x!r} has more than one twin: {found}")
     return found[0] if found else None
+
+
+def share_ends(vs: ConnectingVSystem, l1: Line, l2: Line) -> bool:
+    """Synchronized joint-orbit check: can the two lines be aligned so their
+    (tail, head) vertex pairs agree at every step over a full common period?"""
+    p1, p2 = l1.period, l2.period
+    lcm = math.lcm(p1, p2)
+    prof1 = _vertex_profile(vs, l1.orbit)
+    for orbit2 in (l2.orbit, _mirror(l2.orbit)):
+        prof2 = _vertex_profile(vs, orbit2)
+        for s in range(p2):
+            if all(prof1[t % p1] == prof2[(t + s) % p2] for t in range(lcm)):
+                return True
+    return False
+
+
+def project_by_incidence(deep: PartialUnion, shallow: PartialUnion) -> dict[tuple, CellTarget]:
+    """The blow-down cell map, found from the deep graph's incidences: each
+    edge by its arc record, each surviving copy vertex by its id prefix, and
+    each seam vertex of a shallow node by the collapsed child whose edges
+    meet it."""
+    for node, info in shallow.nodes.items():
+        dinfo = deep.nodes.get(node)
+        if dinfo is None or dinfo.parent != info.parent:
+            raise SurgeryError("shallow tree is not a prefix of the deep tree")
+
+    def containing_arc(node: str, e0: str, lo: Fraction, hi: Fraction) -> str:
+        for ce, a, b in shallow.arcs[(node, e0)]:
+            if a <= lo and hi <= b:
+                return ce
+        raise SurgeryError("deep arc not contained in any shallow arc")
+
+    def branch_locus(node: str) -> CellTarget:
+        info = deep.nodes[node]
+        if info.parent is None:
+            raise SurgeryError(f"node {node} is not below the shallow tree")
+        if info.parent in shallow.nodes:
+            return _resolve_site_locus(shallow, info.via)
+        return branch_locus(info.parent)
+
+    deep_arc_info = {}
+    incident: dict[str, list[str]] = {}
+    for (node, e0), chain in deep.arcs.items():
+        for ce, lo, hi in chain:
+            deep_arc_info[ce] = (node, e0, lo, hi)
+    for e, (t, h) in deep.edges.items():
+        incident.setdefault(t, []).append(e)
+        incident.setdefault(h, []).append(e)
+
+    cell_map: dict[tuple, CellTarget] = {}
+    for e in deep.edges:
+        node, e0, lo, hi = deep_arc_info[e]
+        if node in shallow.nodes:
+            cell_map[("edge", e)] = ("edge", containing_arc(node, e0, lo, hi))
+        else:
+            cell_map[("edge", e)] = branch_locus(node)
+    for v in deep.vertices:
+        if v in shallow.vertices:
+            cell_map[("vertex", v)] = ("vertex", v)
+            continue
+        node = v.split("|", 1)[0]
+        if node in shallow.nodes:
+            children = [deep_arc_info[e][0] for e in incident.get(v, ())]
+            child = next((n for n in children if n not in shallow.nodes), None)
+            if child is None:
+                raise SurgeryError(f"cannot locate collapsing branch for vertex {v}")
+            cell_map[("vertex", v)] = branch_locus(child)
+        else:
+            cell_map[("vertex", v)] = branch_locus(node)
+    return cell_map

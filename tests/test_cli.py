@@ -52,6 +52,15 @@ def test_config_validation():
         Config(depth=-1)
 
 
+# sha256 of the --emit dot outputs, taken from the code that built the
+# expansion's DOT text from its JSON artifact with a second DOT writer
+DOT_DIGESTS = {
+    "graph": "87c7f85d63edabac699f2522727993efcc2fb84d793901c4b6ab045889c11555",
+    "whitehead": "0ae2838932245efea00baedc04cf92ee817e5859d21fdcd19033138394b3f063",
+    "expand": "fcf35a25c279973cb2dfbf6e17a70740c967a5011637115d66d5c1ff10ea422a",
+}
+
+
 def test_graph_info_and_dot(tmp_path, capsys):
     path = write_json(tmp_path, "k4.json", complete_graph(4).to_json_dict())
     code, out = run(capsys, "graph", path)
@@ -59,6 +68,7 @@ def test_graph_info_and_dot(tmp_path, capsys):
     assert code == 0 and doc["two_connected"] and doc["vertex_count"] == 4
     code, out = run(capsys, "graph", path, "--emit", "dot")
     assert code == 0 and out.startswith("graph g {")
+    assert hashlib.sha256(out.encode()).hexdigest() == DOT_DIGESTS["graph"]
 
 
 def test_malformed_json_is_exit_one(tmp_path, capsys):
@@ -96,6 +106,7 @@ def test_whitehead_json_and_dot(capsys):
         "--multiplicities", "2,3,2", "--emit", "dot",
     )
     assert code == 0 and out.startswith("graph g {")
+    assert hashlib.sha256(out.encode()).hexdigest() == DOT_DIGESTS["whitehead"]
     code, out = run(capsys, "whitehead", "--rank", "2", "--words", "aA")
     assert code == 1 and json.loads(out)["violations"]
 
@@ -126,6 +137,7 @@ def test_rcs_validate_expand_analyze(tmp_path, capsys):
 
     code, out = run(capsys, "rcs", "expand", path, "--depth", "2", "--emit", "dot")
     assert code == 0 and out.startswith("graph expansion {")
+    assert hashlib.sha256(out.encode()).hexdigest() == DOT_DIGESTS["expand"]
 
     code, out = run(capsys, "rcs", "expand", path, "--depth", "3", "--cap", "20")
     assert code == 2
@@ -186,6 +198,16 @@ RCS_SHORT_ALPHA_END = dict(
 )
 RCS_SHORT_A_END = dict(RCS_DOC, econnections=[[["c0:e1"], ["c0:e1", 0]]])
 RCS_RESERVED_NAME = dict(RCS_DOC, components=[dict(RCS_DOC["components"][0], name="c0:x")])
+# one JSON value replaced: an a-link cell, an edge id
+RCS_NULL_A_CELL = dict(RCS_DOC, a=[[None, "c0:u"], *RCS_DOC["a"][1:]])
+RCS_LIST_A_CELL = dict(RCS_DOC, a=[["c0:u", []], *RCS_DOC["a"][1:]])
+VSYSTEM_LIST_A_CELL = dict(VSYSTEM_DOC, a=[["u", []], *VSYSTEM_DOC["a"][1:]])
+
+
+def null_edge_id(g):
+    doc = g.to_json_dict()
+    doc["edges"][0]["id"] = None
+    return json.dumps(doc)
 
 
 def jsj_doc(golden, path, value):
@@ -228,6 +250,12 @@ MALFORMED = {
     "jsj-list-orbit-id": (jsj_doc(golden_g2, ("flexible_orbits", 0, "id"), ["y1"]), JSJ),
     "jsj-list-orbit-ref": (jsj_doc(golden_racg1, ("reps", 0, "edge_assignments", 0, 0), []), JSJ),
     "jsj-list-label": (jsj_doc(golden_g2, ("reps", 0, "peripherals", 0, "label"), []), JSJ),
+    "rcs-null-a-cell": (json.dumps(RCS_NULL_A_CELL), ["rcs", "validate", "{doc}"]),
+    "rcs-list-a-cell": (json.dumps(RCS_LIST_A_CELL), ["rcs", "validate", "{doc}"]),
+    "vsystem-list-a-cell": (json.dumps(VSYSTEM_LIST_A_CELL), ["vsystem", "{doc}"]),
+    "graph-null-edge-id": (null_edge_id(complete_graph(4)), ["graph", "{doc}"]),
+    "twin-null-edge-id": (null_edge_id(theta_graph(4)), ["twin-decompose", "{doc}"]),
+    "jsj-list-word": (jsj_doc(golden_g2, ("reps", 0, "peripherals", 0, "word"), ["a"]), JSJ),
 }
 # cases that decode but fail a later check, with their first violation
 FIRST_VIOLATION = {

@@ -1,6 +1,7 @@
 """Tests for graphical connecting systems and the expansion engine."""
 
 import json
+import random
 import warnings
 from fractions import Fraction
 
@@ -8,6 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from generators import random_two_connected
+from oracles import project_by_incidence
+from tog.jsj_frontend import golden_g2, golden_racg1, synthesize
 from tog.multigraph import Multigraph, SurgeryError, is_two_connected, theta_graph
 from tog.rcs import (
     GraphicalConnectingSystem,
@@ -168,6 +172,9 @@ def test_euler_count_audit(refl3):
             assert len(pu2.vertices) == nv + comp_v + 2
             assert len(pu2.edges) == ne + comp_e + 2
         assert set(pu2.graph.vertices) == pu2.vertices  # direct recount
+        # the arcs are exactly the current edges, each once
+        arcs = [ce for chain in pu2.arcs.values() for ce, _, _ in chain]
+        assert sorted(arcs) == sorted(pu2.edges)
         pu = pu2
 
 
@@ -252,6 +259,48 @@ def test_projection_collapses_branches_to_attachment_loci(refl3):
             assert ("vertex", target[1]) in shallow_cells
         elif target[0] == "interior":
             assert Fraction(0) < target[2] < Fraction(1)
+
+
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore")  # synthesize warns of omitted sharp orientations
+    GOLDEN_SYSTEMS = [
+        (synthesize(golden_g2())[0], 0),
+        *((synthesize(golden_racg1())[0], root) for root in range(3)),
+    ]
+# (system, root): reflection systems of small 2-connected graphs, and the goldens
+systems = st.one_of(
+    st.integers(0, 10**6).map(
+        lambda seed: (reflection_system(random_two_connected(random.Random(seed), 5)), 0)
+    ),
+    st.sampled_from(GOLDEN_SYSTEMS),
+)
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@settings(max_examples=40, deadline=None)
+@given(systems, st.integers(1, 2), st.integers(1, 2))
+def test_project_matches_incidence_oracle(system, r, depth):
+    sys_, root = system
+    pus = [init(sys_, root, r)]
+    for d in range(1, depth + 1):
+        pus.append(expand_to_depth(pus[-1], d))
+    for shallow in pus[max(0, depth - 2) : depth]:  # depth pairs (D, D-1) and (D, D-2)
+        assert project(pus[depth], shallow) == project_by_incidence(pus[depth], shallow)
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@settings(max_examples=40, deadline=None)
+@given(systems, st.integers(0, 1), st.lists(st.integers(0, 10**6), min_size=1, max_size=12))
+def test_project_matches_incidence_oracle_on_site_sequences(system, depth, picks):
+    # unions grown one random site at a time are not level-synchronous
+    sys_, root = system
+    chain = [expand_to_depth(init(sys_, root, 1), depth)]
+    for k in picks:
+        frontier = sorted(chain[-1].frontier, key=Site.sort_key)
+        chain.append(expand_site(chain[-1], frontier[k % len(frontier)]))
+    deep = chain[-1]
+    for shallow in chain[::3]:
+        assert project(deep, shallow) == project_by_incidence(deep, shallow)
 
 
 # -- point tracking --------------------------------------------------------

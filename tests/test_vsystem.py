@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from generators import random_vsystem
+from oracles import share_ends
 from tog.multigraph import Multigraph, theta_graph
 from tog.vsystem import (
     ConnectingVSystem,
@@ -131,6 +132,24 @@ def test_orientability_criterion_agrees_with_orbits(seed):
     vs = random_vsystem(random.Random(seed))
     orbit_answer = any(not ln.orientable for ln in lines(vs))
     assert has_nonorientable_line(vs) == orbit_answer
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10**6))
+def test_end_pair_groups_match_pairwise_oracle(seed):
+    rng = random.Random(seed)
+    vs = random_vsystem(rng) if seed % 4 else theta_standard_system(rng.randint(2, 8))
+    groups = lines_sharing_ends(vs)
+    ls = lines(vs)
+    orbits = [[ln.orbit for ln in grp] for grp in groups]
+    # a partition of the lines; each group, and the groups by first orbit, in orbit order
+    assert sorted(o for grp in orbits for o in grp) == [ln.orbit for ln in ls]
+    assert all(grp == sorted(grp) for grp in orbits)
+    assert [grp[0] for grp in orbits] == sorted(grp[0] for grp in orbits)
+    group_of = {o: i for i, grp in enumerate(orbits) for o in grp}
+    for l1 in ls:
+        for l2 in ls:
+            assert (group_of[l1.orbit] == group_of[l2.orbit]) == share_ends(vs, l1, l2)
 
 
 def test_lines_partition_oriented_edges():
