@@ -2,12 +2,16 @@
 
 All JSON output is canonical (sorted keys, two-space indent) and versioned
 with a "schema": "tog/1" field, so identical inputs and configuration yield
-byte-identical artifacts. Every subcommand writes it through one canonical
-encoder, ``_canonical``, whose bytes equal
+byte-identical artifacts. Every subcommand but ``rcs expand`` writes it
+through one canonical encoder, ``_canonical``, whose bytes equal
 ``json.dumps(obj, sort_keys=True, indent=2)``; the property test
-``tests/test_cli.py::test_canonical_matches_json_dumps`` guards this. Exit
-codes: 0 success, 1 validation failure (with a machine-readable violation
-list on stdout), 2 resource cap exceeded.
+``tests/test_cli.py::test_canonical_matches_json_dumps`` guards this.
+``rcs expand`` streams its artifact through
+``PartialUnion.write_canonical``, which writes no document and whose bytes
+the property test ``tests/test_rcs.py::test_write_canonical_matches_canonical_dict``
+holds equal to ``_canonical(pu.to_json_dict())``. Exit codes: 0 success,
+1 validation failure (with a machine-readable violation list on stdout),
+2 resource cap exceeded.
 """
 
 from __future__ import annotations
@@ -218,11 +222,10 @@ def _cmd_rcs_validate(args) -> int:
 def _expansion_dot(pu: _rcs.PartialUnion) -> str:
     prov_v, prov_e = pu.provenance()
     vertex_attrs = {v: 'kind="surgery"' for v in pu.vertices}
-    vertex_attrs.update((v, f'node="{r["node"]}", cell="{r["cell"]}"') for v, r in prov_v.items())
+    vertex_attrs.update((v, f'node="{n}", cell="{c}"') for v, (n, c) in prov_v.items())
     edge_attrs = {
-        e: f'label="{e}", node="{r["node"]}", cell="{r["cell"]}", '
-        f'interval="{":".join(r["interval"])}"'
-        for e, r in prov_e.items()
+        e: f'label="{e}", node="{n}", cell="{c}", interval="{lo}:{hi}"'
+        for e, (n, c, lo, hi) in prov_e.items()
     }
     return pu.graph.to_dot("expansion", vertex_attrs, edge_attrs)
 
@@ -235,7 +238,8 @@ def _cmd_rcs_expand(args, cfg: Config) -> int:
     if cfg.emit == "dot":
         print(_expansion_dot(pu))
     else:
-        _emit_json(pu.to_json_dict())
+        pu.write_canonical(sys.stdout.write)
+        sys.stdout.write("\n")
     return 0
 
 

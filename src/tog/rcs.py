@@ -15,7 +15,8 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from json.encoder import encode_basestring_ascii as _enc
+from typing import Callable, Iterable, Optional, Sequence
 
 from .multigraph import Interior, Multigraph, SurgeryError, Vertex, complement_components
 from .multigraph import components as graph_components
@@ -39,7 +40,7 @@ _ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 def _frac_str(p: Fraction) -> str:
-    return f"{p.numerator}/{p.denominator}"
+    return "%d/%d" % p.as_integer_ratio()
 
 
 @dataclass
@@ -130,7 +131,7 @@ class GraphicalConnectingSystem:
         ]
         a, alpha = _vsystem.decode_gluing(data)
         A = frozenset(
-            ((e1[0], e1[1]), (e2[0], e2[1])) for e1, e2 in data["econnections"]
+            (_vsystem.decode_end(e1), _vsystem.decode_end(e2)) for e1, e2 in data["econnections"]
         )
         return cls.build(named, a, alpha, A)
 
@@ -266,6 +267,39 @@ class NodeInfo:
     via: Optional[Site]  # the parent-side site whose expansion created this node
 
 
+# -- canonical text: the layout of json.dumps(sort_keys=True, indent=2) -------
+# nl is the newline and indent of a value's own brackets.
+
+
+def _text_block(brackets: str, items: list[str], nl: str) -> str:
+    """A JSON array ("[]") or object ("{}") of already-encoded items or members."""
+    if not items:
+        return brackets
+    inner = nl + "  "
+    return brackets[0] + inner + ("," + inner).join(items) + nl + brackets[1]
+
+
+def _site_text(s: Site, nl: str) -> str:
+    """s.to_json() as text."""
+    k = nl + "  "
+    if s.kind == "V":
+        return (f'{{{k}"depth": {s.depth},{k}"kind": "V",{k}"node": {_enc(s.node)},'
+                f'{k}"vertex": {_enc(s.vertex)}{nl}}}')
+    e, o = s.partner
+    return (f'{{{k}"depth": {s.depth},{k}"edge": {_enc(s.edge)},{k}"kind": "E",'
+            f'{k}"node": {_enc(s.node)},{k}"partner": [{k}  {_enc(e)},{k}  {o}{k}],'
+            f'{k}"position": "{_frac_str(s.position)}"{nl}}}')
+
+
+def _node_text(info: NodeInfo, nl: str) -> str:
+    """A tree entry of PartialUnion.to_json_dict() as text."""
+    k = nl + "  "
+    parent = "null" if info.parent is None else _enc(info.parent)
+    via = "null" if info.via is None else _site_text(info.via, k)
+    return (f'{{{k}"component": {_enc(info.component)},{k}"depth": {info.depth},'
+            f'{k}"parent": {parent},{k}"via": {via}{nl}}}')
+
+
 class PartialUnion:
     """A finite reduced partial union with provenance and a site frontier.
 
@@ -329,8 +363,9 @@ class PartialUnion:
             self.vertices.add(f"{node}|{v}")
         for e in es:
             t, h = self.rcs.union.ends(e)
-            self.edges[f"{node}|{e}"] = (f"{node}|{t}", f"{node}|{h}")
-            self.arcs[(node, e)] = [(f"{node}|{e}", _ZERO, _ONE)]
+            ce = f"{node}|{e}"
+            self.edges[ce] = (f"{node}|{t}", f"{node}|{h}")
+            self.arcs[(node, e)] = [(ce, _ZERO, _ONE)]
         self.nodes[node] = NodeInfo(None if via is None else via.node, depth, comp_name, via)
         self.child_count[node] = 0
         for v in vs:
@@ -425,17 +460,18 @@ class PartialUnion:
         self.arcs[(m, f0)] = [(pfl, _ZERO, qpos), (pfr, qpos, _ONE)]
         return m
 
-    def provenance(self) -> tuple[dict[str, dict], dict[str, dict]]:
-        """(vertices, edges): the node and component cell of each surviving copy
-        vertex (seam vertices have none), and of each edge with its interval."""
+    def provenance(self) -> tuple[dict[str, tuple[str, ...]], dict[str, tuple[str, ...]]]:
+        """(vertices, edges): the (node, component cell) of each surviving copy
+        vertex (seam vertices have none), and the (node, cell, interval start,
+        interval end) of each edge, the interval ends as "p/q" strings."""
         prov_v = {}
         for node, info in self.nodes.items():
             for v in self.rcs.component_cells(info.component)[0]:
                 cur = f"{node}|{v}"
                 if cur in self.vertices:
-                    prov_v[cur] = {"node": node, "cell": v}
+                    prov_v[cur] = (node, v)
         prov_e = {
-            ce: {"node": node, "cell": e0, "interval": [_frac_str(lo), _frac_str(hi)]}
+            ce: (node, e0, _frac_str(lo), _frac_str(hi))
             for (node, e0), chain in self.arcs.items()
             for ce, lo, hi in chain
         }
@@ -456,8 +492,55 @@ class PartialUnion:
             "graph": self.graph.to_json_dict(),
             "tree": tree,
             "frontier": [s.to_json() for s in sorted(self.frontier, key=Site.sort_key)],
-            "provenance": {"vertices": prov_v, "edges": prov_e},
+            "provenance": {
+                "vertices": {v: {"node": n, "cell": c} for v, (n, c) in prov_v.items()},
+                "edges": {
+                    e: {"node": n, "cell": c, "interval": [lo, hi]}
+                    for e, (n, c, lo, hi) in prov_e.items()
+                },
+            },
         }
+
+    def write_canonical(self, write: Callable[[str], object]) -> None:
+        """Write the JSON text of to_json_dict() with sorted keys and two-space
+        indent, without a trailing newline: the bytes of
+        ``tog.cli._canonical(self.to_json_dict())``, which the tests check.
+
+        One sorted walk of the expansion writes each top-level section, in key
+        order, as one string; no document is built.
+        """
+        vertices = self.graph.vertex_ids()  # the graph checks that edge ends are vertices
+        write('{\n  "frontier": ')
+        write(_text_block("[]", [
+            _site_text(s, "\n    ") for s in sorted(self.frontier, key=Site.sort_key)
+        ], "\n  "))
+        write(',\n  "graph": {\n    "edges": ')
+        write(_text_block("[]", [
+            f'{{\n        "ends": [\n          {_enc(t)},\n          {_enc(h)}\n        ],'
+            f'\n        "id": {_enc(e)}\n      }}'
+            for e, (t, h) in sorted(self.edges.items())
+        ], "\n    "))
+        write(',\n    "schema": "tog/1",\n    "vertices": ')
+        write(_text_block("[]", list(map(_enc, vertices)), "\n    "))
+        prov_v, prov_e = self.provenance()
+        write('\n  },\n  "provenance": {\n    "edges": ')
+        write(_text_block("{}", [
+            f'{_enc(e)}: {{\n        "cell": {_enc(c)},'
+            f'\n        "interval": [\n          "{lo}",\n          "{hi}"\n        ],'
+            f'\n        "node": {_enc(n)}\n      }}'
+            for e, (n, c, lo, hi) in sorted(prov_e.items())
+        ], "\n    "))
+        write(',\n    "vertices": ')
+        write(_text_block("{}", [
+            f'{_enc(v)}: {{\n        "cell": {_enc(c)},\n        "node": {_enc(n)}\n      }}'
+            for v, (n, c) in sorted(prov_v.items())
+        ], "\n    "))
+        write('\n  },\n  "schema": "tog/1",\n  "tree": ')
+        write(_text_block("{}", [
+            _enc(node) + ": " + _node_text(self.nodes[node], "\n    ")
+            for node in sorted(self.nodes)
+        ], "\n  "))
+        write("\n}")
 
 
 def init(rcs: GraphicalConnectingSystem, root: int, resolution: int, cap: int = 10000) -> PartialUnion:

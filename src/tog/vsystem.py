@@ -77,6 +77,13 @@ def encode_gluing(vs: ConnectingVSystem) -> dict:
     }
 
 
+def decode_end(x) -> tuple[str, int]:
+    """An edge-end or oriented edge of a tog/1 document: an [edge id, int] pair."""
+    if type(x) is not list or len(x) != 2 or type(x[0]) is not str or type(x[1]) is not int:
+        raise SurgeryError(f"end {x!r} must be an [edge id, index] pair")
+    return (x[0], x[1])
+
+
 def decode_gluing(data: dict) -> tuple[dict[str, str], dict[str, dict[End, End]]]:
     """The involution a and the link bijections alpha of a tog/1 document."""
     for pair in data["a"]:
@@ -86,7 +93,7 @@ def decode_gluing(data: dict) -> tuple[dict[str, str], dict[str, dict[End, End]]
     if not isinstance(data["alpha"], dict):
         raise SurgeryError("'alpha' must be an object")
     alpha = {
-        v: {(p[0], p[1]): (q[0], q[1]) for p, q in entries}
+        v: {decode_end(p): decode_end(q) for p, q in entries}
         for v, entries in data["alpha"].items()
     }
     return a, alpha

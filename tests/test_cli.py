@@ -139,10 +139,6 @@ def test_rcs_validate_expand_analyze(tmp_path, capsys):
     assert code == 0 and out.startswith("graph expansion {")
     assert hashlib.sha256(out.encode()).hexdigest() == DOT_DIGESTS["expand"]
 
-    code, out = run(capsys, "rcs", "expand", path, "--depth", "3", "--cap", "20")
-    assert code == 2
-    assert "ResourceCapExceeded" in json.loads(out)["violations"][0]
-
     code, out = run(
         capsys, "rcs", "analyze", path, "--depth", "2",
         "--cell", "c0:u", "--pair-cell", "c0:w",
@@ -204,6 +200,20 @@ RCS_LIST_A_CELL = dict(RCS_DOC, a=[["c0:u", []], *RCS_DOC["a"][1:]])
 VSYSTEM_LIST_A_CELL = dict(VSYSTEM_DOC, a=[["u", []], *VSYSTEM_DOC["a"][1:]])
 
 
+def with_alpha_end(doc, v, end):
+    """doc with the second end of the first gluing entry at v replaced."""
+    first, *rest = doc["alpha"][v]
+    return dict(doc, alpha=dict(doc["alpha"], **{v: [[first[0], end], *rest]}))
+
+
+# a gluing end whose edge is a list; an E-connection orientation that is a bool
+RCS_LIST_ALPHA_EDGE = with_alpha_end(RCS_DOC, "c0:u", [[], 0])
+VSYSTEM_LIST_ALPHA_EDGE = with_alpha_end(VSYSTEM_DOC, "u", [[], 1])
+RCS_BOOL_ORIENTATION = dict(
+    RCS_DOC, econnections=[[["c0:e1", True], ["c0:e1", True]], *RCS_DOC["econnections"][1:]]
+)
+
+
 def null_edge_id(g):
     doc = g.to_json_dict()
     doc["edges"][0]["id"] = None
@@ -256,6 +266,9 @@ MALFORMED = {
     "graph-null-edge-id": (null_edge_id(complete_graph(4)), ["graph", "{doc}"]),
     "twin-null-edge-id": (null_edge_id(theta_graph(4)), ["twin-decompose", "{doc}"]),
     "jsj-list-word": (jsj_doc(golden_g2, ("reps", 0, "peripherals", 0, "word"), ["a"]), JSJ),
+    "rcs-list-alpha-edge": (json.dumps(RCS_LIST_ALPHA_EDGE), ["rcs", "validate", "{doc}"]),
+    "vsystem-list-alpha-edge": (json.dumps(VSYSTEM_LIST_ALPHA_EDGE), ["vsystem", "{doc}"]),
+    "rcs-bool-orientation": (json.dumps(RCS_BOOL_ORIENTATION), ["rcs", "expand", "{doc}"]),
 }
 # cases that decode but fail a later check, with their first violation
 FIRST_VIOLATION = {
@@ -389,6 +402,16 @@ def test_import_cli_leaves_networkx_unloaded(tmp_path):
     assert out.stdout.strip() == "[]"
 
 
+@pytest.mark.parametrize("cap", [5, 20, 100])  # exceeded at depth 0, 1 and 2
+def test_cap_exceeded_expand_prints_one_violations_document(cap, tmp_path, capsys):
+    path = write_json(tmp_path, "refl.json", RCS_DOC)
+    code = main(["rcs", "expand", path, "--depth", "3", "--cap", str(cap)])
+    out, err = capsys.readouterr()
+    violation = f"ResourceCapExceeded: copy cap of {cap} component copies exceeded"
+    assert code == 2 and err == ""
+    assert out == _canonical({"schema": "tog/1", "violations": [violation]}) + "\n"
+
+
 def test_expand_and_analyze_report_violations_like_validate(tmp_path, capsys):
     # the not-swap-closed system: one E-connection pair dropped
     path = write_json(tmp_path, "broken.json", dict(RCS_DOC, econnections=RCS_DOC["econnections"][1:]))
@@ -426,7 +449,11 @@ def test_cli_subdocuments_match_schema(tmp_path, capsys):
     refl = write_json(tmp_path, "refl.json", reflection_system(theta_graph(3)).to_json_dict())
     code, out = run(capsys, "rcs", "expand", refl, "--depth", "2")
     assert code == 0
-    check("graph", json.loads(out)["graph"])
+    expansion = json.loads(out)
+    check("expansion", expansion)
+    nodeless = {k: v for k, v in expansion["frontier"][0].items() if k != "node"}
+    with pytest.raises(jsonschema.ValidationError):
+        check("expansion", dict(expansion, frontier=[nodeless]))
 
     for golden in ("g2", "racg1"):
         code, out = run(capsys, "jsj", "synth", "--golden", golden)

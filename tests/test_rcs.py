@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from generators import random_two_connected
 from oracles import project_by_incidence
+from tog.cli import _canonical
 from tog.jsj_frontend import golden_g2, golden_racg1, synthesize
 from tog.multigraph import Multigraph, SurgeryError, is_two_connected, theta_graph
 from tog.rcs import (
@@ -301,6 +302,37 @@ def test_project_matches_incidence_oracle_on_site_sequences(system, depth, picks
     deep = chain[-1]
     for shallow in chain[::3]:
         assert project(deep, shallow) == project_by_incidence(deep, shallow)
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@settings(max_examples=40, deadline=None)
+@given(
+    systems,
+    st.integers(1, 3),
+    st.integers(0, 3),
+    st.lists(st.integers(0, 10**6), max_size=8),
+)
+def test_write_canonical_matches_canonical_dict(system, r, depth, picks):
+    sys_, root = system
+    chain = [init(sys_, root, r, cap=300)]
+    try:  # stop at the last union within the cap
+        for d in range(1, depth + 1):
+            chain[0] = expand_to_depth(chain[0], d)
+        # random single-site expansions leave sites of mixed depths on the frontier
+        for k in picks:
+            frontier = sorted(chain[-1].frontier, key=Site.sort_key)
+            chain.append(expand_site(chain[-1], frontier[k % len(frontier)]))
+    except ResourceCapExceeded:
+        pass
+    for pu in (chain[0], chain[-1]):
+        parts = []
+        pu.write_canonical(parts.append)
+        got, want = "".join(parts).split("\n"), _canonical(pu.to_json_dict()).split("\n")
+        # compare from the first differing line: pytest's diff of two texts of
+        # a megabyte would take minutes
+        differ = (i for i, (x, y) in enumerate(zip(got, want)) if x != y)
+        at = next(differ, min(len(got), len(want)))
+        assert (len(got), got[at : at + 3]) == (len(want), want[at : at + 3])
 
 
 # -- point tracking --------------------------------------------------------
