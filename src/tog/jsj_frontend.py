@@ -90,6 +90,11 @@ def _typed(value, kind: type, what: str):
     return value
 
 
+def _sharp(value) -> Optional[int]:
+    """A sharp orientation: null, or exactly an int."""
+    return None if value is None else _typed(value, int, "sharp orientation")
+
+
 @dataclass
 class JsjInput:
     flexible_orbits: list[FlexibleOrbit]
@@ -140,7 +145,9 @@ class JsjInput:
         if data.get("schema") != "tog/1":
             raise SurgeryError("missing or unsupported schema tag (expected 'tog/1')")
         orbits = [
-            FlexibleOrbit(_typed(rec["id"], str, "orbit id"), bool(rec["orientable"]))
+            FlexibleOrbit(
+                _typed(rec["id"], str, "orbit id"), _typed(rec["orientable"], bool, "orientable")
+            )
             for rec in data["flexible_orbits"]
         ]
         reps: list[Rep] = []
@@ -151,7 +158,10 @@ class JsjInput:
                     V2Rep(
                         rid,
                         _typed(rec["k"], int, f"rep {rid} k"),
-                        [(_typed(y, str, "orbit id"), s) for y, s in rec["edge_assignments"]],
+                        [
+                            (_typed(y, str, "orbit id"), _sharp(s))
+                            for y, s in rec["edge_assignments"]
+                        ],
                     )
                 )
             elif rec["kind"] == "rigid":
@@ -166,7 +176,8 @@ class JsjInput:
                     for p in rec["peripherals"]
                 ]
                 slots = {
-                    (xi, j): (_typed(y, str, "orbit id"), s) for (xi, j), (y, s) in rec["slots"]
+                    (xi, j): (_typed(y, str, "orbit id"), _sharp(s))
+                    for (xi, j), (y, s) in rec["slots"]
                 }
                 rank = _typed(rec["rank"], int, f"rep {rid} rank")
                 reps.append(RigidClusterRep(rid, rank, periph, slots))

@@ -148,11 +148,15 @@ class Multigraph:
         vertices = data.get("vertices", [])
         if not isinstance(vertices, list) or not all(isinstance(v, str) for v in vertices):
             raise SurgeryError("'vertices' must be a list of strings")
+        if len(set(vertices)) != len(vertices):
+            raise SurgeryError("'vertices' lists a vertex more than once")
         edges = {}
         for rec in data.get("edges", []):
             e, ends = rec["id"], rec["ends"]
             if type(e) is not str:
                 raise SurgeryError(f"edge id {e!r} must be a string")
+            if e in edges:
+                raise SurgeryError(f"edge id {e!r} is used more than once")
             if not isinstance(ends, list) or len(ends) != 2:
                 raise SurgeryError(f"edge {e!r} must have exactly two ends")
             edges[e] = (ends[0], ends[1])

@@ -202,11 +202,6 @@ class Site:
     position: Optional[Fraction] = None
     partner: Optional[OrientedEdge] = None
 
-    def sort_key(self):
-        if self.kind == "V":
-            return (self.node, 0, self.vertex, _ZERO, "")
-        return (self.node, 1, self.edge, self.position, self.partner[0])
-
     def to_json(self) -> dict:
         if self.kind == "V":
             return {"kind": "V", "node": self.node, "depth": self.depth, "vertex": self.vertex}
@@ -306,11 +301,12 @@ class PartialUnion:
     The graph is built by iterated connected sums: one copy of a component
     per tree node, glued at expanded sites. Cell ids are "<node>|<cell>" for
     cells inherited from a component copy; the seam vertices a gluing
-    creates are named by _seams. Copy vertex (node, v) is alive while
-    "<node>|<v>" is a vertex; consumed_by records the child cell that
-    absorbed it. arcs holds, per (node, original edge), the current arcs
-    covering that edge's (0,1); the arcs are exactly the current edges, each
-    once.
+    creates are named by _seams. The k-th child of a node is "<node>.<k>",
+    k < child_count[node], and a site is expanded iff it is a child's via;
+    the frontier is read from the tree by sites(). Copy vertex (node, v) is
+    alive while "<node>|<v>" is a vertex. arcs holds, per (node, original
+    edge), the current arcs covering that edge's (0,1); the arcs are
+    exactly the current edges, each once.
     """
 
     def __init__(self, rcs: GraphicalConnectingSystem, resolution: int, cap: int = 10000):
@@ -320,8 +316,6 @@ class PartialUnion:
         self.vertices: set[str] = set()
         self.edges: dict[str, tuple[str, str]] = {}
         self.nodes: dict[str, NodeInfo] = {}
-        self.frontier: list[Site] = []
-        self.consumed_by: dict[tuple[str, str], tuple[str, str]] = {}
         self.arcs: dict[tuple[str, str], list[tuple[str, Fraction, Fraction]]] = {}
         self.child_count: dict[str, int] = {}
         # static per (system, resolution), so shared by every copy
@@ -335,8 +329,6 @@ class PartialUnion:
         pu.vertices = set(self.vertices)
         pu.edges = dict(self.edges)
         pu.nodes = dict(self.nodes)
-        pu.frontier = list(self.frontier)
-        pu.consumed_by = dict(self.consumed_by)
         pu.arcs = {k: list(v) for k, v in self.arcs.items()}
         pu.child_count = dict(self.child_count)
         pu._schedules = self._schedules
@@ -348,9 +340,7 @@ class PartialUnion:
             self._graph_cache = Multigraph(self.vertices, self.edges)
         return self._graph_cache
 
-    def _add_copy(
-        self, node: str, comp_name: str, via: Optional[Site], skip_vertex: Optional[str]
-    ):
+    def _add_copy(self, node: str, comp_name: str, via: Optional[Site]):
         """Add a copy of a component as a tree node; via is the parent-side
         site whose expansion creates it (None for the root)."""
         depth = 0 if via is None else via.depth + 1
@@ -368,17 +358,37 @@ class PartialUnion:
             self.arcs[(node, e)] = [(ce, _ZERO, _ONE)]
         self.nodes[node] = NodeInfo(None if via is None else via.node, depth, comp_name, via)
         self.child_count[node] = 0
-        for v in vs:
-            if v != skip_vertex:
-                self.frontier.append(Site("V", node, depth, vertex=v))
         for e in es:
-            sched = self._schedules.get(e)
-            if sched is None:
-                sched = self._schedules[e] = schedule_sites(self.rcs, e, self.resolution)
-            for pos, partner in sched:
-                self.frontier.append(
-                    Site("E", node, depth, edge=e, position=pos, partner=partner)
-                )
+            if e not in self._schedules:
+                self._schedules[e] = schedule_sites(self.rcs, e, self.resolution)
+
+    def sites(self, node: str) -> list[Site]:
+        """The unexpanded sites of a copy, in frontier order: the V-sites of
+        its component's vertices but the one it was glued at, then each
+        edge's scheduled E-sites, less the vias of its children."""
+        info = self.nodes[node]
+        vs, es = self.rcs.component_cells(info.component)
+        via = info.via
+        glued = self.rcs.vsys.a[via.vertex] if via is not None and via.kind == "V" else None
+        n_children = self.child_count[node]
+        if n_children == len(vs) - (glued is not None) + self.resolution * len(es):
+            return []  # all expanded: each edge schedules `resolution` sites
+        d = info.depth
+        out = [Site("V", node, d, vertex=v) for v in vs if v != glued]
+        for e in es:
+            out.extend(
+                Site("E", node, d, edge=e, position=pos, partner=partner)
+                for pos, partner in self._schedules[e]
+            )
+        if n_children:
+            expanded = {self.nodes[f"{node}.{k}"].via for k in range(n_children)}
+            out = [s for s in out if s not in expanded]
+        return out
+
+    @property
+    def frontier(self) -> list[Site]:
+        """Every unexpanded site, by node in sorted order."""
+        return [s for node in sorted(self.nodes) for s in self.sites(node)]
 
     def _current_end(self, node: str, end: End) -> tuple[str, int]:
         """The current (edge, end index) realizing an original edge-end."""
@@ -406,7 +416,7 @@ class PartialUnion:
         v = s.vertex
         w = rcs.vsys.a[v]
         m = self._new_child(s.node)
-        self._add_copy(m, rcs.component_of(w), s, skip_vertex=w)
+        self._add_copy(m, rcs.component_of(w), s)
 
         for p, merged in zip(rcs.union.link(v), _seams(rcs, s)):
             q = rcs.vsys.alpha[v][p]
@@ -419,14 +429,13 @@ class PartialUnion:
                 self.edges[e] = (ends[0], ends[1])
         self.vertices.discard(f"{s.node}|{v}")
         self.vertices.discard(f"{m}|{w}")
-        self.consumed_by[(s.node, v)] = (m, w)
         return m
 
     def _expand_e(self, s: Site) -> str:
         rcs = self.rcs
         f0, o = s.partner
         m = self._new_child(s.node)
-        self._add_copy(m, rcs.component_of(f0), s, skip_vertex=None)
+        self._add_copy(m, rcs.component_of(f0), s)
 
         chain = self.arcs[(s.node, s.edge)]
         hit = _arc_at(chain, s.position)
@@ -491,7 +500,7 @@ class PartialUnion:
             "schema": "tog/1",
             "graph": self.graph.to_json_dict(),
             "tree": tree,
-            "frontier": [s.to_json() for s in sorted(self.frontier, key=Site.sort_key)],
+            "frontier": [s.to_json() for s in self.frontier],
             "provenance": {
                 "vertices": {v: {"node": n, "cell": c} for v, (n, c) in prov_v.items()},
                 "edges": {
@@ -511,9 +520,7 @@ class PartialUnion:
         """
         vertices = self.graph.vertex_ids()  # the graph checks that edge ends are vertices
         write('{\n  "frontier": ')
-        write(_text_block("[]", [
-            _site_text(s, "\n    ") for s in sorted(self.frontier, key=Site.sort_key)
-        ], "\n  "))
+        write(_text_block("[]", [_site_text(s, "\n    ") for s in self.frontier], "\n  "))
         write(',\n  "graph": {\n    "edges": ')
         write(_text_block("[]", [
             f'{{\n        "ends": [\n          {_enc(t)},\n          {_enc(h)}\n        ],'
@@ -551,16 +558,15 @@ def init(rcs: GraphicalConnectingSystem, root: int, resolution: int, cap: int = 
     if not (0 <= root < len(rcs.names)):
         raise SurgeryError(f"invalid root component index {root}")
     pu = PartialUnion(rcs, resolution, cap)
-    pu._add_copy("n", rcs.names[root], None, skip_vertex=None)
+    pu._add_copy("n", rcs.names[root], None)
     return pu
 
 
 def expand_site(pu: PartialUnion, s: Site) -> PartialUnion:
     """Adjoin a fresh partner copy at the site by connected sum."""
-    if s not in pu.frontier:
+    if s.node not in pu.nodes or s not in pu.sites(s.node):
         raise SurgeryError("site stale: not in the current frontier")
     out = pu.copy()
-    out.frontier.remove(s)
     out._expand(s)
     return out
 
@@ -569,8 +575,8 @@ def expand_to_depth(pu: PartialUnion, d: int) -> PartialUnion:
     """Breadth-first expansion of every site at tree depth < d."""
     out = pu.copy()
     for level in range(d):
-        todo = sorted((s for s in out.frontier if s.depth == level), key=Site.sort_key)
-        out.frontier = [s for s in out.frontier if s.depth != level]
+        nodes = sorted(n for n, info in out.nodes.items() if info.depth == level)
+        todo = [s for n in nodes for s in out.sites(n)]
         for s in todo:
             out._expand(s)
     return out
@@ -699,9 +705,12 @@ def lift_vertex(pu: PartialUnion, node: str, v: str) -> tuple[str, str, str]:
     """
     rcs = pu.rcs
     while f"{node}|{v}" not in pu.vertices:
-        if (node, v) not in pu.consumed_by:
+        # the child glued at the V-site (node, v); an E-site's vertex is None
+        children = (f"{node}.{k}" for k in range(pu.child_count.get(node, 0)))
+        child = next((c for c in children if pu.nodes[c].via.vertex == v), None)
+        if child is None:
             raise SurgeryError(f"vertex ({node}, {v}) unknown or untracked")
-        child, glued = pu.consumed_by[(node, v)]
+        glued = rcs.vsys.a[v]
         deg = rcs.union.degree(v)
         comp = pu.nodes[child].component
         vs, _ = rcs.component_cells(comp)

@@ -13,7 +13,7 @@ from typing import Optional
 import networkx as nx
 
 from tog.multigraph import Multigraph, SurgeryError, Vertex, blow_up, complement_components, components
-from tog.rcs import CellTarget, PartialUnion, _resolve_site_locus
+from tog.rcs import CellTarget, PartialUnion, Site, _resolve_site_locus, schedule_sites
 from tog.vsystem import ConnectingVSystem, Line, _mirror, _vertex_profile
 
 
@@ -175,3 +175,29 @@ def project_by_incidence(deep: PartialUnion, shallow: PartialUnion) -> dict[tupl
         else:
             cell_map[("vertex", v)] = branch_locus(node)
     return cell_map
+
+
+def frontier_by_bookkeeping(pu: PartialUnion) -> list[Site]:
+    """The unexpanded sites, kept as a list: every site a copy had when it was
+    added, all but the vertex it was glued at, less every via in the tree,
+    sorted by node, V before E, then cell, position and partner."""
+    made, vias = [], set()
+    for node, info in pu.nodes.items():
+        vs, es = pu.rcs.component_cells(info.component)
+        via = info.via
+        skip = pu.rcs.vsys.a[via.vertex] if via is not None and via.kind == "V" else None
+        made += [Site("V", node, info.depth, vertex=v) for v in vs if v != skip]
+        for e in es:
+            made += [
+                Site("E", node, info.depth, edge=e, position=pos, partner=partner)
+                for pos, partner in schedule_sites(pu.rcs, e, pu.resolution)
+            ]
+        if via is not None:
+            vias.add(via)
+
+    def sort_key(s: Site):
+        if s.kind == "V":
+            return (s.node, 0, s.vertex, Fraction(0), "")
+        return (s.node, 1, s.edge, s.position, s.partner[0])
+
+    return sorted((s for s in made if s not in vias), key=sort_key)

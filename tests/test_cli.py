@@ -220,6 +220,23 @@ def null_edge_id(g):
     return json.dumps(doc)
 
 
+def repeated(graph_doc, key):
+    """graph_doc with its first vertex or edge listed a second time, the
+    repeated edge joining other ends."""
+    first = graph_doc[key][0]
+    if key == "edges":
+        first = dict(first, ends=list(reversed(first["ends"])))
+    return dict(graph_doc, **{key: [*graph_doc[key], first]})
+
+
+def rcs_with_graph(graph_doc):
+    return dict(RCS_DOC, components=[dict(RCS_DOC["components"][0], graph=graph_doc)])
+
+
+K4_DOC = complete_graph(4).to_json_dict()
+RCS_GRAPH_DOC = RCS_DOC["components"][0]["graph"]
+
+
 def jsj_doc(golden, path, value):
     """A golden JSJ input document with the value at path replaced."""
     doc = json.loads(json.dumps(golden().to_json_dict()))
@@ -269,6 +286,19 @@ MALFORMED = {
     "rcs-list-alpha-edge": (json.dumps(RCS_LIST_ALPHA_EDGE), ["rcs", "validate", "{doc}"]),
     "vsystem-list-alpha-edge": (json.dumps(VSYSTEM_LIST_ALPHA_EDGE), ["vsystem", "{doc}"]),
     "rcs-bool-orientation": (json.dumps(RCS_BOOL_ORIENTATION), ["rcs", "expand", "{doc}"]),
+    "jsj-string-orientable": (
+        jsj_doc(golden_racg1, ("flexible_orbits", 0, "orientable"), "false"), JSJ
+    ),
+    "jsj-bool-sharp": (jsj_doc(golden_g2, ("reps", 0, "slots", 0, 1, 1), True), JSJ),
+    "graph-repeated-edge-id": (json.dumps(repeated(K4_DOC, "edges")), ["graph", "{doc}"]),
+    "graph-repeated-vertex": (json.dumps(repeated(K4_DOC, "vertices")), ["graph", "{doc}"]),
+    "rcs-repeated-edge-id": (
+        json.dumps(rcs_with_graph(repeated(RCS_GRAPH_DOC, "edges"))), ["rcs", "validate", "{doc}"]
+    ),
+    "rcs-repeated-vertex": (
+        json.dumps(rcs_with_graph(repeated(RCS_GRAPH_DOC, "vertices"))),
+        ["rcs", "validate", "{doc}"],
+    ),
 }
 # cases that decode but fail a later check, with their first violation
 FIRST_VIOLATION = {

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from generators import random_two_connected
-from oracles import project_by_incidence
+from oracles import frontier_by_bookkeeping, project_by_incidence
 from tog.cli import _canonical
 from tog.jsj_frontend import golden_g2, golden_racg1, synthesize
 from tog.multigraph import Multigraph, SurgeryError, is_two_connected, theta_graph
@@ -18,7 +18,6 @@ from tog.rcs import (
     GraphicalConnectingSystem,
     InvalidSystem,
     ResourceCapExceeded,
-    Site,
     analyze_point,
     compose_cell_maps,
     expand,
@@ -162,7 +161,7 @@ def test_expansions_preserve_two_connectivity(refl3):
 def test_euler_count_audit(refl3):
     pu = init(refl3, 0, 2)
     comp_v, comp_e = 2, 3
-    for s in sorted(list(pu.frontier), key=Site.sort_key):
+    for s in pu.frontier:
         nv, ne = len(pu.vertices), len(pu.edges)
         pu2 = expand_site(pu, s)
         if s.kind == "V":
@@ -181,7 +180,7 @@ def test_euler_count_audit(refl3):
 
 def test_expand_site_is_pure_and_rejects_stale(refl3):
     pu = init(refl3, 0, 2)
-    s = sorted(pu.frontier, key=Site.sort_key)[0]
+    s = pu.frontier[0]
     pu2 = expand_site(pu, s)
     assert len(pu.nodes) == 1 and len(pu2.nodes) == 2
     with pytest.raises(SurgeryError):
@@ -297,33 +296,51 @@ def test_project_matches_incidence_oracle_on_site_sequences(system, depth, picks
     sys_, root = system
     chain = [expand_to_depth(init(sys_, root, 1), depth)]
     for k in picks:
-        frontier = sorted(chain[-1].frontier, key=Site.sort_key)
+        frontier = chain[-1].frontier
         chain.append(expand_site(chain[-1], frontier[k % len(frontier)]))
     deep = chain[-1]
     for shallow in chain[::3]:
         assert project(deep, shallow) == project_by_incidence(deep, shallow)
 
 
-@pytest.mark.filterwarnings("ignore::UserWarning")
-@settings(max_examples=40, deadline=None)
-@given(
+def grown(system, r, depth, picks):
+    """A union expanded to depth, then its single-site expansions at picks,
+    up to the last union within a cap of 300 copies."""
+    sys_, root = system
+    chain = [init(sys_, root, r, cap=300)]
+    try:
+        for d in range(1, depth + 1):
+            chain[0] = expand_to_depth(chain[0], d)
+        # random single-site expansions leave sites of mixed depths on the frontier
+        for k in picks:
+            frontier = chain[-1].frontier
+            chain.append(expand_site(chain[-1], frontier[k % len(frontier)]))
+    except ResourceCapExceeded:
+        pass
+    return chain
+
+
+grown_args = (
     systems,
     st.integers(1, 3),
     st.integers(0, 3),
     st.lists(st.integers(0, 10**6), max_size=8),
 )
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@settings(max_examples=40, deadline=None)
+@given(*grown_args)
+def test_frontier_matches_bookkeeping_oracle(system, r, depth, picks):
+    for pu in grown(system, r, depth, picks):
+        assert pu.frontier == frontier_by_bookkeeping(pu)
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@settings(max_examples=40, deadline=None)
+@given(*grown_args)
 def test_write_canonical_matches_canonical_dict(system, r, depth, picks):
-    sys_, root = system
-    chain = [init(sys_, root, r, cap=300)]
-    try:  # stop at the last union within the cap
-        for d in range(1, depth + 1):
-            chain[0] = expand_to_depth(chain[0], d)
-        # random single-site expansions leave sites of mixed depths on the frontier
-        for k in picks:
-            frontier = sorted(chain[-1].frontier, key=Site.sort_key)
-            chain.append(expand_site(chain[-1], frontier[k % len(frontier)]))
-    except ResourceCapExceeded:
-        pass
+    chain = grown(system, r, depth, picks)
     for pu in (chain[0], chain[-1]):
         parts = []
         pu.write_canonical(parts.append)
