@@ -95,6 +95,13 @@ def _sharp(value) -> Optional[int]:
     return None if value is None else _typed(value, int, "sharp orientation")
 
 
+def _slot_label(value) -> tuple[str, int]:
+    """A refined label [xi, j]: a list of a string and exactly an int."""
+    if type(value) is not list or len(value) != 2:
+        raise InvalidJsjInput(f"slot label must be a list [xi, j], got {value!r}")
+    return _typed(value[0], str, "slot label xi"), _typed(value[1], int, "slot index j")
+
+
 @dataclass
 class JsjInput:
     flexible_orbits: list[FlexibleOrbit]
@@ -176,8 +183,8 @@ class JsjInput:
                     for p in rec["peripherals"]
                 ]
                 slots = {
-                    (xi, j): (_typed(y, str, "orbit id"), _sharp(s))
-                    for (xi, j), (y, s) in rec["slots"]
+                    _slot_label(label): (_typed(y, str, "orbit id"), _sharp(s))
+                    for label, (y, s) in rec["slots"]
                 }
                 rank = _typed(rec["rank"], int, f"rep {rid} rank")
                 reps.append(RigidClusterRep(rid, rank, periph, slots))

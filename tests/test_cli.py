@@ -290,6 +290,8 @@ MALFORMED = {
         jsj_doc(golden_racg1, ("flexible_orbits", 0, "orientable"), "false"), JSJ
     ),
     "jsj-bool-sharp": (jsj_doc(golden_g2, ("reps", 0, "slots", 0, 1, 1), True), JSJ),
+    "jsj-bool-slot-index": (jsj_doc(golden_g2, ("reps", 0, "slots", 0, 0, 1), True), JSJ),
+    "jsj-list-slot-label": (jsj_doc(golden_g2, ("reps", 0, "slots", 0, 0, 0), ["a"]), JSJ),
     "graph-repeated-edge-id": (json.dumps(repeated(K4_DOC, "edges")), ["graph", "{doc}"]),
     "graph-repeated-vertex": (json.dumps(repeated(K4_DOC, "vertices")), ["graph", "{doc}"]),
     "rcs-repeated-edge-id": (
@@ -355,22 +357,34 @@ def test_canonical_rejects_non_json():
         _canonical({"a": Fraction(1, 2)})
 
 
-# sha256 of `tog rcs expand` stdout, taken from the json.dumps emitter
+# sha256 of `tog rcs expand` stdout, taken from the json.dumps emitter; the
+# racg1 pins, from the emitter that rendered each Site and Fraction, cover
+# orientation-1 partners and positions such as 2/4 that print reduced
 EXPAND_DIGESTS = {
     "theta3-d3-r2": "7a20c8c75d1a6f907828950697f827c9959064d62fa75804ec743b155946fef5",
     "g2-d2-r2": "a0bdde905ab015dde39abc427de7d3e1f7e7d2b0a7d6ade842af37440735b906",
+    "racg1-root1-d2-r3": "5960da283ebbaad0963142535014c1e4a54aa5ebc6e747df7eeba3bf77412b42",
+    "racg1-root1-d2-r3-dot": "12f1c2de9937bea23b8221d2ee956c8bfcf771636e880de373ae2a008c17b557",
+}
+# case: (system, options)
+EXPAND_CASES = {
+    "theta3-d3-r2": (lambda: reflection_system(theta_graph(3)), ["--depth", "3", "--resolution", "2"]),
+    "g2-d2-r2": (lambda: synthesize(golden_g2())[0], ["--depth", "2", "--resolution", "2"]),
+    "racg1-root1-d2-r3": (
+        lambda: synthesize(golden_racg1())[0],
+        ["--root", "1", "--depth", "2", "--resolution", "3"],
+    ),
 }
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
 @pytest.mark.parametrize("case", sorted(EXPAND_DIGESTS))
 def test_expand_output_digest(case, tmp_path, capsys):
-    if case == "theta3-d3-r2":
-        doc, depth = reflection_system(theta_graph(3)).to_json_dict(), "3"
-    else:
-        doc, depth = synthesize(golden_g2())[0].to_json_dict(), "2"
-    path = write_json(tmp_path, "sys.json", doc)
-    code, out = run(capsys, "rcs", "expand", path, "--depth", depth, "--resolution", "2")
+    system, options = EXPAND_CASES[case.removesuffix("-dot")]
+    if case.endswith("-dot"):
+        options = options + ["--emit", "dot"]
+    path = write_json(tmp_path, "sys.json", system().to_json_dict())
+    code, out = run(capsys, "rcs", "expand", path, *options)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == EXPAND_DIGESTS[case]
 

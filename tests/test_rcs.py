@@ -13,8 +13,18 @@ from generators import random_two_connected
 from oracles import frontier_by_bookkeeping, project_by_incidence
 from tog.cli import _canonical
 from tog.jsj_frontend import golden_g2, golden_racg1, synthesize
-from tog.multigraph import Multigraph, SurgeryError, is_two_connected, theta_graph
+from tog.multigraph import (
+    Interior,
+    Multigraph,
+    SurgeryError,
+    Vertex,
+    blow_up,
+    connected_sum,
+    is_two_connected,
+    theta_graph,
+)
 from tog.rcs import (
+    _seams,
     GraphicalConnectingSystem,
     InvalidSystem,
     ResourceCapExceeded,
@@ -350,6 +360,96 @@ def test_write_canonical_matches_canonical_dict(system, r, depth, picks):
         differ = (i for i, (x, y) in enumerate(zip(got, want)) if x != y)
         at = next(differ, min(len(got), len(want)))
         assert (len(got), got[at : at + 3]) == (len(want), want[at : at + 3])
+
+
+def check_expand_site_is_connected_sum(pu, pu2):
+    """expand_site(pu, s) equals connected_sum(pu.graph, x1, copy, x2, ell)."""
+    rcs = pu.rcs
+    (m,) = set(pu2.nodes) - set(pu.nodes)
+    info = pu2.nodes[m]
+    s = info.via
+    vs, es = rcs.component_cells(info.component)
+    copy = Multigraph(
+        {f"{m}|{v}" for v in vs},
+        {f"{m}|{e}": tuple(f"{m}|{u}" for u in rcs.union.ends(e)) for e in es},
+    )
+    _, prov_e = pu.provenance()
+    ell, seam_of = {}, {}
+    if s.kind == "V":
+        x1, x2 = Vertex(f"{s.node}|{s.vertex}"), Vertex(f"{m}|{rcs.vsys.a[s.vertex]}")
+        d1 = blow_up(pu.graph, [x1]).divisors[x1]
+        d2 = {end[1:]: d for d, end in blow_up(copy, [x2]).divisors[x2].items()}
+        seams = dict(zip(rcs.union.link(s.vertex), _seams(rcs, s)))
+        for d, (_, ce, i) in d1.items():
+            p = (prov_e[ce][1], i)  # the original end the current end realizes
+            f0, j = rcs.vsys.alpha[s.vertex][p]
+            ell[d], seam_of[d] = d2[(f"{m}|{f0}", j)], seams[p]
+    else:
+        (ce,) = [
+            e for e, (n, c, lo, hi) in prov_e.items()
+            if (n, c) == (s.node, s.edge) and Fraction(lo) < s.position < Fraction(hi)
+        ]
+        _, _, lo, hi = prov_e[ce]
+        lo, hi = Fraction(lo), Fraction(hi)
+        f0, o = s.partner
+        q = Fraction(1, 2 * (pu.resolution + 1))
+        x1 = Interior(ce, (s.position - lo) / (hi - lo))
+        x2 = Interior(f"{m}|{f0}", q if o == 0 else 1 - q)
+        d1 = blow_up(pu.graph, [x1]).divisors[x1]
+        d2 = {side: d for d, (_, side) in blow_up(copy, [x2]).divisors[x2].items()}
+        # orientation 1 glues the partner reversed: tail side to head side
+        flip = {"tail": "head", "head": "tail"} if o == 1 else {"tail": "tail", "head": "head"}
+        seams = dict(zip(("tail", "head"), _seams(rcs, s)))
+        for d, (_, side) in d1.items():
+            ell[d], seam_of[d] = d2[flip[side]], seams[side]
+    cs = connected_sum(pu.graph, x1, copy, x2, ell)
+
+    # rename the sum's ids: "L:"/"R:" cells to the engine's, "s<i>" to seams,
+    # and the two arcs of a split edge e from "e.a0"/"e.a1" to "el"/"er"
+    vertex_id = {f"s{i}": seam_of[d] for i, d in enumerate(sorted(ell))}
+    vertex_id.update((v, v[2:]) for v in cs.graph.vertices if v[:2] in ("L:", "R:"))
+    edge_id = {e: e[2:] for e in cs.graph.edges}
+    if s.kind == "E":
+        for side, e in (("L:", ce), ("R:", x2.edge)):
+            edge_id[f"{side}{e}.a0"], edge_id[f"{side}{e}.a1"] = e + "l", e + "r"
+    assert {vertex_id[v] for v in cs.graph.vertices} == pu2.vertices
+    assert {
+        edge_id[e]: (vertex_id[t], vertex_id[h]) for e, (t, h) in cs.graph.edges.items()
+    } == pu2.edges
+
+    # each edge of the sum lies in one summand cell, over the interval the
+    # sum's arc map gives inside that cell's own interval; a copy cell's own
+    # interval is [0, 1]
+    _, prov2 = pu2.provenance()
+    for e in cs.graph.edges:
+        side = 0 if e.startswith("L:") else 1
+        _, cell, (a, b) = cs.projections[side][("edge", e)]
+        if side == 0:
+            n, c, lo, hi = prov_e[cell]
+        else:
+            (n, c), lo, hi = cell.split("|", 1), "0", "1"
+        lo, hi = Fraction(lo), Fraction(hi)
+        ends = ("%d/%d" % (lo + x * (hi - lo)).as_integer_ratio() for x in (a, b))
+        assert prov2[edge_id[e]] == (n, c, *ends)
+    # every chain abuts, covers [0, 1], and ends on multiples of 1/D
+    D = 2 * (pu.resolution + 1)
+    chains = {}
+    for n, c, lo, hi in prov2.values():
+        chains.setdefault((n, c), []).append((Fraction(lo), Fraction(hi)))
+    for chain in chains.values():
+        chain.sort()
+        assert chain[0][0] == 0 and chain[-1][1] == 1
+        assert all(a[1] == b[0] for a, b in zip(chain, chain[1:]))
+        assert all((x * D).denominator == 1 for arc in chain for x in arc)
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@settings(max_examples=40, deadline=None)
+@given(*grown_args)
+def test_expand_site_matches_connected_sum(system, r, depth, picks):
+    chain = grown(system, r, depth, picks)
+    for pu, pu2 in zip(chain, chain[1:]):
+        check_expand_site_is_connected_sum(pu, pu2)
 
 
 # -- point tracking --------------------------------------------------------
