@@ -12,6 +12,8 @@ site scheduler, and blow-down projections between approximation levels.
 
 from __future__ import annotations
 
+import itertools
+import json
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -34,9 +36,6 @@ class InvalidSystem(SurgeryError):
     def __init__(self, violations: list[str]):
         super().__init__("invalid connecting system: " + "; ".join(violations))
         self.violations = violations
-
-
-_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 def _frac_str(p: Fraction) -> str:
@@ -111,24 +110,17 @@ class GraphicalConnectingSystem:
     def to_json_dict(self) -> dict:
         return {
             "schema": "tog/1",
-            "components": [
-                {"name": n, "graph": g.to_json_dict()}
-                for n, g in zip(self.names, self.components)
-            ],
+            "components": [{"name": n, "graph": g.to_json_dict()}
+                           for n, g in zip(self.names, self.components)],
             **_vsystem.encode_gluing(self.vsys),
-            "econnections": sorted(
-                [list(e1), list(e2)] for e1, e2 in self.econnections
-            ),
+            "econnections": sorted([list(e1), list(e2)] for e1, e2 in self.econnections),
         }
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "GraphicalConnectingSystem":
         if data.get("schema") != "tog/1":
             raise SurgeryError("missing or unsupported schema tag (expected 'tog/1')")
-        named = [
-            (rec["name"], Multigraph.from_json_dict(rec["graph"]))
-            for rec in data["components"]
-        ]
+        named = [(rec["name"], Multigraph.from_json_dict(rec["graph"])) for rec in data["components"]]
         a, alpha = _vsystem.decode_gluing(data)
         A = frozenset(
             (_vsystem.decode_end(e1), _vsystem.decode_end(e2)) for e1, e2 in data["econnections"]
@@ -184,7 +176,7 @@ def reflection_system(g: Multigraph, name: str = "c0") -> GraphicalConnectingSys
     return GraphicalConnectingSystem.build([(name, g)], a, alpha, A)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Site:
     """An unexpanded gluing site on one copy (tree node) of a component.
 
@@ -215,9 +207,8 @@ class Site:
         }
 
 
-def schedule_sites(
-    rcs: GraphicalConnectingSystem, edge: str, r: int
-) -> list[tuple[Fraction, OrientedEdge]]:
+def schedule_sites(rcs: GraphicalConnectingSystem, edge: str,
+                   r: int) -> list[tuple[Fraction, OrientedEdge]]:
     """The r scheduled E-sites of an edge: positions k/(r+1), partners cycling
     round-robin through the sorted partner set of the reference orientation.
 
@@ -237,8 +228,8 @@ def schedule_sites(
     ]
 
 
-def _arc_at(chain: list[tuple[str, Fraction, Fraction]], pos: Fraction) -> Optional[int]:
-    """Index of the arc of chain whose open interval holds pos, or None."""
+def _arc_at(chain: list[tuple[str, int, int]], pos) -> Optional[int]:
+    """Index of the arc of chain whose open interval holds pos (over D), or None."""
     for i, (_, lo, hi) in enumerate(chain):
         if lo < pos < hi:
             return i
@@ -254,7 +245,7 @@ def _seams(rcs: GraphicalConnectingSystem, s: Site) -> list[str]:
     return [f"{at}t", f"{at}h"]
 
 
-@dataclass
+@dataclass(slots=True)
 class NodeInfo:
     parent: Optional[str]
     depth: int
@@ -265,48 +256,63 @@ class NodeInfo:
 # -- canonical text: the layout of json.dumps(sort_keys=True, indent=2) -------
 # nl is the newline and indent of a value's own brackets.
 
-
-def _text_block(brackets: str, items: list[str], nl: str) -> str:
-    """A JSON array ("[]") or object ("{}") of already-encoded items or members."""
-    if not items:
-        return brackets
-    inner = nl + "  "
-    return brackets[0] + inner + ("," + inner).join(items) + nl + brackets[1]
+_BATCH = 1024  # the most items _write_block joins into one write
 
 
-def _site_text(s: Site, nl: str) -> str:
-    """s.to_json() as text."""
-    k = nl + "  "
-    if s.kind == "V":
-        return (f'{{{k}"depth": {s.depth},{k}"kind": "V",{k}"node": {_enc(s.node)},'
-                f'{k}"vertex": {_enc(s.vertex)}{nl}}}')
-    e, o = s.partner
-    return (f'{{{k}"depth": {s.depth},{k}"edge": {_enc(s.edge)},{k}"kind": "E",'
-            f'{k}"node": {_enc(s.node)},{k}"partner": [{k}  {_enc(e)},{k}  {o}{k}],'
-            f'{k}"position": "{_frac_str(s.position)}"{nl}}}')
+def _write_block(write: Callable[[str], object], brackets: str, items: Iterable[str], nl: str) -> None:
+    """Write a JSON array ("[]") or object ("{}") of already-encoded items or
+    members, _BATCH of them per write, so that no block is held whole."""
+    items, sep = iter(items), "," + nl + "  "
+    lead, batch = brackets[0] + nl + "  ", list(itertools.islice(items, _BATCH))
+    while batch:
+        write(lead + sep.join(batch))
+        lead, batch = sep, list(itertools.islice(items, _BATCH))
+    write(nl + brackets[1] if lead == sep else brackets)
 
 
-def _node_text(info: NodeInfo, nl: str) -> str:
-    """A tree entry of PartialUnion.to_json_dict() as text."""
-    k = nl + "  "
-    parent = "null" if info.parent is None else _enc(info.parent)
-    via = "null" if info.via is None else _site_text(info.via, k)
-    return (f'{{{k}"component": {_enc(info.component)},{k}"depth": {info.depth},'
-            f'{k}"parent": {parent},{k}"via": {via}{nl}}}')
+def _site_pieces(site: Site, nl: str) -> tuple[str, str, str]:
+    """(pre, mid, post): the text of site.to_json() at indent nl, with any
+    depth and node in place of site's, is pre + depth + mid + node + post."""
+    text = json.dumps(dict(site.to_json(), depth=0, node=""), sort_keys=True, indent=2)
+    pre, rest = text.replace("\n", nl).split('"depth": 0', 1)  # the first key
+    mid, post = rest.split('"node": ""', 1)  # inside a string, a quote is escaped
+    return pre + '"depth": ', mid + '"node": ', post
+
+
+class _Template:
+    """What every copy of a component shares, built once per (system,
+    resolution): the id suffixes that _add_copy stamps onto a node id (each
+    edge with the indices of its ends in vertices), and the sites in frontier
+    order, keyed by vertex or by (edge, schedule index), each as (site with
+    no node, its _site_pieces as a frontier entry, and as a tree via)."""
+
+    def __init__(self, rcs: GraphicalConnectingSystem, comp: str, r: int):
+        vs, es = rcs.component_cells(comp)
+        at = {v: i for i, v in enumerate(vs)}
+        self.vertices = ["|" + v for v in vs]
+        self.edges = [(e, "|" + e, *(at[x] for x in rcs.union.ends(e))) for e in es]
+        sites = {v: Site("V", "", 0, vertex=v) for v in vs}
+        for e in es:
+            for i, (pos, partner) in enumerate(schedule_sites(rcs, e, r)):
+                sites[(e, i)] = Site("E", "", 0, edge=e, position=pos, partner=partner)
+        self.sites = {key: (s, _site_pieces(s, "\n    "), _site_pieces(s, "\n      "))
+                      for key, s in sites.items()}
 
 
 class PartialUnion:
     """A finite reduced partial union with provenance and a site frontier.
 
     The graph is built by iterated connected sums: one copy of a component
-    per tree node, glued at expanded sites. Cell ids are "<node>|<cell>" for
-    cells inherited from a component copy; the seam vertices a gluing
-    creates are named by _seams. The k-th child of a node is "<node>.<k>",
-    k < child_count[node], and a site is expanded iff it is a child's via;
-    the frontier is read from the tree by sites(). Copy vertex (node, v) is
-    alive while "<node>|<v>" is a vertex. arcs holds, per (node, original
-    edge), the current arcs covering that edge's (0,1); the arcs are
-    exactly the current edges, each once.
+    per tree node, glued at expanded sites. A copy's cells "<node>|<cell>" are
+    stamped from its component's _Template; _seams names the seam vertices of
+    a gluing. The k-th child of a node is "<node>.<k>", k < child_count[node];
+    a site is expanded iff it is a child's via, and sites() reads the frontier
+    from the tree. Copy vertex (node, v) is alive while "<node>|<v>" is a
+    vertex. arcs holds, per (node, original edge), the current arcs covering
+    its (0,1), which are exactly the current edges, each once. Arc ends are
+    integers over D = 2(r+1): a site sits at 2k, a partner splits at 1 or
+    D - 1; provenance() spells them "p/q" from a table. write_canonical renders
+    sites from the templates, with no Site or Fraction, a bounded batch per write.
     """
 
     def __init__(self, rcs: GraphicalConnectingSystem, resolution: int, cap: int = 10000):
@@ -316,10 +322,12 @@ class PartialUnion:
         self.vertices: set[str] = set()
         self.edges: dict[str, tuple[str, str]] = {}
         self.nodes: dict[str, NodeInfo] = {}
-        self.arcs: dict[tuple[str, str], list[tuple[str, Fraction, Fraction]]] = {}
+        self.arcs: dict[tuple[str, str], list[tuple[str, int, int]]] = {}
         self.child_count: dict[str, int] = {}
+        self._denominator = 2 * (resolution + 1)
+        self._pq = [_frac_str(Fraction(i, self._denominator)) for i in range(self._denominator + 1)]
         # static per (system, resolution), so shared by every copy
-        self._schedules: dict[str, list[tuple[Fraction, OrientedEdge]]] = {}
+        self._templates: dict[str, _Template] = {}
         self._graph_cache: Optional[Multigraph] = None
 
     # -- construction ------------------------------------------------------
@@ -331,7 +339,7 @@ class PartialUnion:
         pu.nodes = dict(self.nodes)
         pu.arcs = {k: list(v) for k, v in self.arcs.items()}
         pu.child_count = dict(self.child_count)
-        pu._schedules = self._schedules
+        pu._templates = self._templates
         return pu
 
     @property
@@ -340,50 +348,54 @@ class PartialUnion:
             self._graph_cache = Multigraph(self.vertices, self.edges)
         return self._graph_cache
 
+    def _template(self, comp_name: str) -> _Template:
+        t = self._templates.get(comp_name)
+        if t is None:
+            t = self._templates[comp_name] = _Template(self.rcs, comp_name, self.resolution)
+        return t
+
     def _add_copy(self, node: str, comp_name: str, via: Optional[Site]):
         """Add a copy of a component as a tree node; via is the parent-side
         site whose expansion creates it (None for the root)."""
         depth = 0 if via is None else via.depth + 1
         if len(self.nodes) >= self.cap:
-            raise ResourceCapExceeded(
-                f"copy cap of {self.cap} component copies exceeded"
-            )
-        vs, es = self.rcs.component_cells(comp_name)
-        for v in vs:
-            self.vertices.add(f"{node}|{v}")
-        for e in es:
-            t, h = self.rcs.union.ends(e)
-            ce = f"{node}|{e}"
-            self.edges[ce] = (f"{node}|{t}", f"{node}|{h}")
-            self.arcs[(node, e)] = [(ce, _ZERO, _ONE)]
+            raise ResourceCapExceeded(f"copy cap of {self.cap} component copies exceeded")
+        t = self._template(comp_name)
+        vs = [node + v for v in t.vertices]
+        self.vertices.update(vs)
+        for e, ce, ti, hi in t.edges:
+            ce = node + ce
+            self.edges[ce] = (vs[ti], vs[hi])
+            self.arcs[(node, e)] = [(ce, 0, self._denominator)]
         self.nodes[node] = NodeInfo(None if via is None else via.node, depth, comp_name, via)
         self.child_count[node] = 0
-        for e in es:
-            if e not in self._schedules:
-                self._schedules[e] = schedule_sites(self.rcs, e, self.resolution)
+
+    def _key(self, s: Site):
+        """The template key of a site: its vertex, or (edge, schedule index)."""
+        if s.kind == "V":
+            return s.vertex
+        p = s.position
+        return (s.edge, p.numerator * (self.resolution + 1) // p.denominator - 1)
+
+    def _unexpanded(self, node: str) -> list[tuple]:
+        """The template entries of a copy's unexpanded sites, in frontier order:
+        the V-sites of its component's vertices but the one it was glued at,
+        then each edge's scheduled E-sites, less the vias of its children."""
+        info = self.nodes[node]
+        sites = self._template(info.component).sites
+        via = info.via
+        skip = {self.rcs.vsys.a[via.vertex]} if via is not None and via.kind == "V" else set()
+        n_children = self.child_count[node]
+        if n_children + len(skip) == len(sites):
+            return []  # all expanded
+        skip.update(self._key(self.nodes[f"{node}.{k}"].via) for k in range(n_children))
+        return [site for key, site in sites.items() if key not in skip]
 
     def sites(self, node: str) -> list[Site]:
-        """The unexpanded sites of a copy, in frontier order: the V-sites of
-        its component's vertices but the one it was glued at, then each
-        edge's scheduled E-sites, less the vias of its children."""
-        info = self.nodes[node]
-        vs, es = self.rcs.component_cells(info.component)
-        via = info.via
-        glued = self.rcs.vsys.a[via.vertex] if via is not None and via.kind == "V" else None
-        n_children = self.child_count[node]
-        if n_children == len(vs) - (glued is not None) + self.resolution * len(es):
-            return []  # all expanded: each edge schedules `resolution` sites
-        d = info.depth
-        out = [Site("V", node, d, vertex=v) for v in vs if v != glued]
-        for e in es:
-            out.extend(
-                Site("E", node, d, edge=e, position=pos, partner=partner)
-                for pos, partner in self._schedules[e]
-            )
-        if n_children:
-            expanded = {self.nodes[f"{node}.{k}"].via for k in range(n_children)}
-            out = [s for s in out if s not in expanded]
-        return out
+        """The unexpanded sites of a copy, in frontier order."""
+        d = self.nodes[node].depth
+        return [Site(s.kind, node, d, s.vertex, s.edge, s.position, s.partner)
+                for s, _, _ in self._unexpanded(node)]
 
     @property
     def frontier(self) -> list[Site]:
@@ -395,7 +407,7 @@ class PartialUnion:
         e0, i = end
         chain = self.arcs[(node, e0)]
         ce, lo, hi = chain[0] if i == 0 else chain[-1]
-        if (lo, hi)[i] != i:  # the end arc must still reach position i
+        if (lo, hi)[i] != i * self._denominator:  # the end arc must still reach position i
             raise SurgeryError(f"end {end} of node {node} no longer exists")
         return (ce, i)
 
@@ -424,9 +436,8 @@ class PartialUnion:
             fe, fi = self._current_end(m, q)
             self.vertices.add(merged)
             for e, i in ((ce, ci), (fe, fi)):
-                ends = list(self.edges[e])
-                ends[i] = merged
-                self.edges[e] = (ends[0], ends[1])
+                t, h = self.edges[e]
+                self.edges[e] = (merged, h) if i == 0 else (t, merged)
         self.vertices.discard(f"{s.node}|{v}")
         self.vertices.discard(f"{m}|{w}")
         return m
@@ -438,7 +449,9 @@ class PartialUnion:
         self._add_copy(m, rcs.component_of(f0), s)
 
         chain = self.arcs[(s.node, s.edge)]
-        hit = _arc_at(chain, s.position)
+        D = self._denominator
+        pos = s.position.numerator * D // s.position.denominator  # a site sits at 2k
+        hit = _arc_at(chain, pos)
         if hit is None:
             raise SurgeryError(f"site position {s.position} on {s.edge} already consumed")
         ce, lo, hi = chain[hit]
@@ -446,107 +459,111 @@ class PartialUnion:
         cel, cer, pfl, pfr = f"{ce}l", f"{ce}r", f"{pf}l", f"{pf}r"
         if not self.edges.keys().isdisjoint((cel, cer, pfl, pfr)):
             raise SurgeryError(f"split arcs of {ce!r} or {pf!r} would reuse an edge id")
-        u0, u1 = self.edges[ce]
+        u0, u1 = self.edges.pop(ce)
         st, sh = _seams(rcs, s)
-        self.vertices.add(st)
-        self.vertices.add(sh)
-        del self.edges[ce]
+        self.vertices.update((st, sh))
         self.edges[cel] = (u0, st)
         self.edges[cer] = (sh, u1)
-        chain[hit : hit + 1] = [(cel, lo, s.position), (cer, s.position, hi)]
+        chain[hit : hit + 1] = [(cel, lo, pos), (cer, pos, hi)]
 
-        q = Fraction(1, 2 * (self.resolution + 1))
-        qpos = q if o == 0 else 1 - q
-        p0, p1 = self.edges[pf]
-        del self.edges[pf]
-        if o == 0:
-            # partner's near-tail side is its reference-tail side
-            self.edges[pfl] = (p0, st)
-            self.edges[pfr] = (sh, p1)
-        else:
-            self.edges[pfl] = (p0, sh)
-            self.edges[pfr] = (st, p1)
-        self.arcs[(m, f0)] = [(pfl, _ZERO, qpos), (pfr, qpos, _ONE)]
+        # the partner's near-tail side is its reference-tail side iff o == 0
+        p0, p1 = self.edges.pop(pf)
+        near, far = (st, sh) if o == 0 else (sh, st)
+        self.edges[pfl] = (p0, near)
+        self.edges[pfr] = (far, p1)
+        qpos = 1 if o == 0 else D - 1
+        self.arcs[(m, f0)] = [(pfl, 0, qpos), (pfr, qpos, D)]
         return m
 
     def provenance(self) -> tuple[dict[str, tuple[str, ...]], dict[str, tuple[str, ...]]]:
         """(vertices, edges): the (node, component cell) of each surviving copy
         vertex (seam vertices have none), and the (node, cell, interval start,
         interval end) of each edge, the interval ends as "p/q" strings."""
-        prov_v = {}
-        for node, info in self.nodes.items():
-            for v in self.rcs.component_cells(info.component)[0]:
-                cur = f"{node}|{v}"
-                if cur in self.vertices:
-                    prov_v[cur] = (node, v)
-        prov_e = {
-            ce: (node, e0, _frac_str(lo), _frac_str(hi))
-            for (node, e0), chain in self.arcs.items()
-            for ce, lo, hi in chain
+        prov_v = {
+            cur: (node, v)
+            for node, info in self.nodes.items()
+            for v in self.rcs.component_cells(info.component)[0]
+            if (cur := f"{node}|{v}") in self.vertices
         }
+        pq = self._pq
+        prov_e = {ce: (node, e0, pq[lo], pq[hi])
+                  for (node, e0), chain in self.arcs.items() for ce, lo, hi in chain}
         return prov_v, prov_e
 
     def to_json_dict(self) -> dict:
         prov_v, prov_e = self.provenance()
-        tree = {}
-        for node, info in sorted(self.nodes.items()):
-            tree[node] = {
-                "parent": info.parent,
-                "depth": info.depth,
-                "component": info.component,
-                "via": None if info.via is None else info.via.to_json(),
-            }
         return {
             "schema": "tog/1",
             "graph": self.graph.to_json_dict(),
-            "tree": tree,
+            "tree": {
+                node: {"parent": info.parent, "depth": info.depth, "component": info.component,
+                       "via": None if info.via is None else info.via.to_json()}
+                for node, info in sorted(self.nodes.items())
+            },
             "frontier": [s.to_json() for s in self.frontier],
             "provenance": {
                 "vertices": {v: {"node": n, "cell": c} for v, (n, c) in prov_v.items()},
-                "edges": {
-                    e: {"node": n, "cell": c, "interval": [lo, hi]}
-                    for e, (n, c, lo, hi) in prov_e.items()
-                },
+                "edges": {e: {"node": n, "cell": c, "interval": [lo, hi]}
+                          for e, (n, c, lo, hi) in prov_e.items()},
             },
         }
+
+    def _frontier_text(self, nodes: list[str]) -> Iterable[str]:
+        """The frontier entries of to_json_dict(), as text."""
+        for node in nodes:
+            d, n = self.nodes[node].depth, _enc(node)
+            for _, (pre, mid, post), _ in self._unexpanded(node):
+                yield f"{pre}{d}{mid}{n}{post}"
+
+    def _tree_text(self, nodes: list[str]) -> Iterable[str]:
+        """The tree members of to_json_dict(), as text."""
+        k = "\n      "
+        for node in nodes:
+            info = self.nodes[node]
+            parent = via = "null"
+            if info.via is not None:
+                parent = _enc(info.parent)
+                sites = self._template(self.nodes[info.parent].component).sites
+                pre, mid, post = sites[self._key(info.via)][2]
+                via = f"{pre}{info.via.depth}{mid}{parent}{post}"
+            yield (f'{_enc(node)}: {{{k}"component": {_enc(info.component)},{k}"depth": {info.depth},'
+                   f'{k}"parent": {parent},{k}"via": {via}\n    }}')
 
     def write_canonical(self, write: Callable[[str], object]) -> None:
         """Write the JSON text of to_json_dict() with sorted keys and two-space
         indent, without a trailing newline: the bytes of
-        ``tog.cli._canonical(self.to_json_dict())``, which the tests check.
-
-        One sorted walk of the expansion writes each top-level section, in key
-        order, as one string; no document is built.
-        """
-        vertices = self.graph.vertex_ids()  # the graph checks that edge ends are vertices
+        ``tog.cli._canonical(self.to_json_dict())``, which the tests check. One
+        sorted walk writes each section in key order through _write_block."""
+        vertices, edges = self.vertices, self.edges
+        if not vertices.issuperset(itertools.chain.from_iterable(edges.values())):
+            bad = next(e for e, ends in edges.items() if not vertices.issuperset(ends))
+            raise SurgeryError(f"edge {bad!r} references missing vertex")
+        nodes, eids = sorted(self.nodes), sorted(edges)
         write('{\n  "frontier": ')
-        write(_text_block("[]", [_site_text(s, "\n    ") for s in self.frontier], "\n  "))
+        _write_block(write, "[]", self._frontier_text(nodes), "\n  ")
         write(',\n  "graph": {\n    "edges": ')
-        write(_text_block("[]", [
+        _write_block(write, "[]", (
             f'{{\n        "ends": [\n          {_enc(t)},\n          {_enc(h)}\n        ],'
             f'\n        "id": {_enc(e)}\n      }}'
-            for e, (t, h) in sorted(self.edges.items())
-        ], "\n    "))
+            for e in eids for t, h in (edges[e],)
+        ), "\n    ")
         write(',\n    "schema": "tog/1",\n    "vertices": ')
-        write(_text_block("[]", list(map(_enc, vertices)), "\n    "))
+        _write_block(write, "[]", map(_enc, sorted(vertices)), "\n    ")
         prov_v, prov_e = self.provenance()
         write('\n  },\n  "provenance": {\n    "edges": ')
-        write(_text_block("{}", [
+        _write_block(write, "{}", (
             f'{_enc(e)}: {{\n        "cell": {_enc(c)},'
             f'\n        "interval": [\n          "{lo}",\n          "{hi}"\n        ],'
             f'\n        "node": {_enc(n)}\n      }}'
-            for e, (n, c, lo, hi) in sorted(prov_e.items())
-        ], "\n    "))
+            for e in eids for n, c, lo, hi in (prov_e[e],)
+        ), "\n    ")
         write(',\n    "vertices": ')
-        write(_text_block("{}", [
+        _write_block(write, "{}", (
             f'{_enc(v)}: {{\n        "cell": {_enc(c)},\n        "node": {_enc(n)}\n      }}'
             for v, (n, c) in sorted(prov_v.items())
-        ], "\n    "))
+        ), "\n    ")
         write('\n  },\n  "schema": "tog/1",\n  "tree": ')
-        write(_text_block("{}", [
-            _enc(node) + ": " + _node_text(self.nodes[node], "\n    ")
-            for node in sorted(self.nodes)
-        ], "\n  "))
+        _write_block(write, "{}", self._tree_text(nodes), "\n  ")
         write("\n}")
 
 
@@ -582,13 +599,8 @@ def expand_to_depth(pu: PartialUnion, d: int) -> PartialUnion:
     return out
 
 
-def expand(
-    rcs: GraphicalConnectingSystem,
-    root: int = 0,
-    depth: int = 2,
-    resolution: int = 2,
-    cap: int = 10000,
-) -> PartialUnion:
+def expand(rcs: GraphicalConnectingSystem, root: int = 0, depth: int = 2, resolution: int = 2,
+           cap: int = 10000) -> PartialUnion:
     return expand_to_depth(init(rcs, root, resolution, cap), depth)
 
 
@@ -614,12 +626,14 @@ def project(deep: PartialUnion, shallow: PartialUnion) -> dict[tuple, CellTarget
     attachment locus of their branch. Interior positions are reported in
     original-edge coordinates, which makes these maps compose strictly.
     """
+    if deep.resolution != shallow.resolution:  # arc ends are over one denominator
+        raise SurgeryError("the two unions have different resolutions")
     for node, info in shallow.nodes.items():
         dinfo = deep.nodes.get(node)
         if dinfo is None or dinfo.parent != info.parent:
             raise SurgeryError("shallow tree is not a prefix of the deep tree")
 
-    def containing_arc(node: str, e0: str, lo: Fraction, hi: Fraction) -> str:
+    def containing_arc(node: str, e0: str, lo: int, hi: int) -> str:
         for ce, a, b in shallow.arcs[(node, e0)]:
             if a <= lo and hi <= b:
                 return ce
@@ -665,23 +679,16 @@ def project(deep: PartialUnion, shallow: PartialUnion) -> dict[tuple, CellTarget
     return cell_map
 
 
-def compose_cell_maps(
-    outer: dict[tuple, CellTarget], inner: dict[tuple, CellTarget]
-) -> dict[tuple, CellTarget]:
+def compose_cell_maps(outer: dict[tuple, CellTarget],
+                      inner: dict[tuple, CellTarget]) -> dict[tuple, CellTarget]:
     """Compose deep->mid (inner) with mid->shallow (outer)."""
     out: dict[tuple, CellTarget] = {}
     for cell, target in inner.items():
-        if target[0] == "vertex":
-            out[cell] = outer[("vertex", target[1])]
-        elif target[0] == "edge":
-            out[cell] = outer[("edge", target[1])]
+        if target[0] == "interior":  # an interior point keeps its position on a surviving edge
+            t2 = outer[("edge", target[1])]
+            out[cell] = ("interior", t2[1], target[2]) if t2[0] == "edge" else t2
         else:
-            _, e, pos = target
-            t2 = outer[("edge", e)]
-            if t2[0] == "edge":
-                out[cell] = ("interior", t2[1], pos)
-            else:
-                out[cell] = t2
+            out[cell] = outer[target]
     return out
 
 
@@ -716,9 +723,7 @@ def lift_vertex(pu: PartialUnion, node: str, v: str) -> tuple[str, str, str]:
         vs, _ = rcs.component_cells(comp)
         candidates = [u for u in vs if u != glued and rcs.union.degree(u) == deg]
         if len(candidates) != 1:
-            raise SurgeryError(
-                f"ambiguous lift: {len(candidates)} degree-{deg} candidates in {comp}"
-            )
+            raise SurgeryError(f"ambiguous lift: {len(candidates)} degree-{deg} candidates in {comp}")
         node, v = child, candidates[0]
     return node, v, f"{node}|{v}"
 
@@ -734,17 +739,14 @@ def resolve_locus(pu: PartialUnion, node: str, cell: str, position: Optional[Fra
     chain = pu.arcs.get((node, cell))
     if chain is None:
         raise SurgeryError(f"({node}, {cell}) is not an edge of the partial union")
-    hit = _arc_at(chain, position)
+    hit = _arc_at(chain, position * pu._denominator)
     if hit is None:
         raise SurgeryError(f"position {position} on ({node}, {cell}) is a cut point")
     return ("interior", chain[hit][0], position)
 
 
-def analyze_point(
-    pus: Sequence[PartialUnion],
-    locus: tuple,
-    pair_with: Optional[tuple] = None,
-) -> PointTrace:
+def analyze_point(pus: Sequence[PartialUnion], locus: tuple,
+                  pair_with: Optional[tuple] = None) -> PointTrace:
     """Degree trace of a tracked locus across a sequence of partial unions.
 
     locus is (node, cell) for a vertex or (node, edge, position) for an
@@ -756,14 +758,11 @@ def analyze_point(
         tgt = resolve_locus(pu, *locus)
         entry = {"target": tgt, "degree": pu.graph.degree(tgt[1]) if tgt[0] == "vertex" else 2}
         if pair_with is not None:
-            tgt2 = resolve_locus(pu, *pair_with)
-
-            def as_locus(t):
-                if t[0] == "vertex":
-                    return Vertex(t[1])
-                return Interior(t[1], t[2])
-
-            count, _ = complement_components(pu.graph, [as_locus(tgt), as_locus(tgt2)])
+            loci = [
+                Vertex(t[1]) if t[0] == "vertex" else Interior(t[1], t[2])
+                for t in (tgt, resolve_locus(pu, *pair_with))
+            ]
+            count, _ = complement_components(pu.graph, loci)
             entry["pair_components"] = count
         entries.append(entry)
     return PointTrace(locus, entries)

@@ -24,7 +24,9 @@ from tog.multigraph import (
     theta_graph,
 )
 from tog.rcs import (
+    _BATCH,
     _seams,
+    _write_block,
     GraphicalConnectingSystem,
     InvalidSystem,
     ResourceCapExceeded,
@@ -258,6 +260,9 @@ def test_projection_rejects_incompatible_trees(refl3):
     pu1 = expand_to_depth(pu0, 1)
     with pytest.raises(SurgeryError):
         project(pu0, pu1)
+    # arc ends are integers over a denominator set by the resolution
+    with pytest.raises(SurgeryError, match="resolutions"):
+        project(expand_to_depth(init(refl3, 0, 1), 1), pu0)
 
 
 def test_projection_collapses_branches_to_attachment_loci(refl3):
@@ -360,6 +365,26 @@ def test_write_canonical_matches_canonical_dict(system, r, depth, picks):
         differ = (i for i, (x, y) in enumerate(zip(got, want)) if x != y)
         at = next(differ, min(len(got), len(want)))
         assert (len(got), got[at : at + 3]) == (len(want), want[at : at + 3])
+
+
+@pytest.mark.parametrize("brackets", ["[]", "{}"])
+@pytest.mark.parametrize("n", [0, 1, _BATCH - 1, _BATCH, _BATCH + 1, 2 * _BATCH + 1])
+def test_write_block_matches_json_layout_in_bounded_writes(brackets, n):
+    doc = [f"i{k}" for k in range(n)] if brackets == "[]" else {f"k{k:05d}": k for k in range(n)}
+    items = map(json.dumps, doc) if brackets == "[]" else (f'"{k}": {v}' for k, v in doc.items())
+    writes = []
+    _write_block(writes.append, brackets, items, "\n")
+    assert "".join(writes) == json.dumps(doc, indent=2)
+    # one write per batch of at most _BATCH items, then the closing bracket
+    assert len(writes) == (-(-n // _BATCH) + 1 if n else 1)
+    assert all(w.count("\n") <= _BATCH for w in writes)
+
+
+def test_write_canonical_writes_bounded_pieces(refl3):
+    pu = expand(refl3, depth=4, resolution=2)
+    sizes = []
+    pu.write_canonical(lambda text: sizes.append(len(text)))
+    assert sum(sizes) > 10 * 2**20 and max(sizes) < 2**20
 
 
 def check_expand_site_is_connected_sum(pu, pu2):
