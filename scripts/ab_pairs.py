@@ -9,8 +9,8 @@ even-numbered pairs and the child first in odd-numbered ones, and reads the
 JSON object that ends the run's output. For every end-to-end metric of
 BENCHMARK.json it prints the median and quartiles of each side, and the
 pairs the child won (ties count as lost). It also prints each run's
-``failed`` count. With ``--out`` it writes every run's result to a JSON file.
-The checkouts are only read, apart from what ``perfbench/run.py`` itself
+``failed`` count. Every run lasts ``run_seconds`` of BENCHMARK.json. The
+checkouts are only read, apart from what ``perfbench/run.py`` itself
 leaves in them.
 """
 
@@ -46,13 +46,10 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="seconds per run (default: run_seconds of BENCHMARK.json)")
-    parser.add_argument("--out", type=Path, help="write every run's result here as JSON")
     args = parser.parse_args(argv)
 
     bench = json.loads((args.child / "BENCHMARK.json").read_text())
-    seconds = args.seconds if args.seconds is not None else bench["run_seconds"]
+    seconds = bench["run_seconds"]
     runs: list[dict] = []
     for i in range(args.pairs):
         order = ("parent", "child") if i % 2 == 0 else ("child", "parent")
@@ -72,11 +69,6 @@ def main(argv=None) -> int:
         won = sum((c < p) if lower else (c > p) for p, c in zip(parent, child))
         cells = ["{:>10.4g} /{:>10.4g} /{:>10.4g}".format(*quartiles(v)) for v in (parent, child)]
         print(f"{name:<14}{cells[0]:>34}{cells[1]:>34}  {won}/{len(runs)}")
-    if args.out:
-        args.out.write_text(json.dumps(
-            {"workload": args.workload, "seed": args.seed, "seconds": seconds, "runs": runs},
-            indent=2,
-        ))
     return 0
 
 

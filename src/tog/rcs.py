@@ -110,17 +110,24 @@ class GraphicalConnectingSystem:
     def to_json_dict(self) -> dict:
         return {
             "schema": "tog/1",
-            "components": [{"name": n, "graph": g.to_json_dict()}
-                           for n, g in zip(self.names, self.components)],
+            "components": [
+                {"name": n, "graph": g.to_json_dict()}
+                for n, g in zip(self.names, self.components)
+            ],
             **_vsystem.encode_gluing(self.vsys),
-            "econnections": sorted([list(e1), list(e2)] for e1, e2 in self.econnections),
+            "econnections": sorted(
+                [list(e1), list(e2)] for e1, e2 in self.econnections
+            ),
         }
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "GraphicalConnectingSystem":
         if data.get("schema") != "tog/1":
             raise SurgeryError("missing or unsupported schema tag (expected 'tog/1')")
-        named = [(rec["name"], Multigraph.from_json_dict(rec["graph"])) for rec in data["components"]]
+        named = [
+            (rec["name"], Multigraph.from_json_dict(rec["graph"]))
+            for rec in data["components"]
+        ]
         a, alpha = _vsystem.decode_gluing(data)
         A = frozenset(
             (_vsystem.decode_end(e1), _vsystem.decode_end(e2)) for e1, e2 in data["econnections"]
@@ -207,8 +214,9 @@ class Site:
         }
 
 
-def schedule_sites(rcs: GraphicalConnectingSystem, edge: str,
-                   r: int) -> list[tuple[Fraction, OrientedEdge]]:
+def schedule_sites(
+    rcs: GraphicalConnectingSystem, edge: str, r: int
+) -> list[tuple[Fraction, OrientedEdge]]:
     """The r scheduled E-sites of an edge: positions k/(r+1), partners cycling
     round-robin through the sorted partner set of the reference orientation.
 
@@ -359,7 +367,9 @@ class PartialUnion:
         site whose expansion creates it (None for the root)."""
         depth = 0 if via is None else via.depth + 1
         if len(self.nodes) >= self.cap:
-            raise ResourceCapExceeded(f"copy cap of {self.cap} component copies exceeded")
+            raise ResourceCapExceeded(
+                f"copy cap of {self.cap} component copies exceeded"
+            )
         t = self._template(comp_name)
         vs = [node + v for v in t.vertices]
         self.vertices.update(vs)
@@ -479,12 +489,12 @@ class PartialUnion:
         """(vertices, edges): the (node, component cell) of each surviving copy
         vertex (seam vertices have none), and the (node, cell, interval start,
         interval end) of each edge, the interval ends as "p/q" strings."""
-        prov_v = {
-            cur: (node, v)
-            for node, info in self.nodes.items()
-            for v in self.rcs.component_cells(info.component)[0]
-            if (cur := f"{node}|{v}") in self.vertices
-        }
+        prov_v = {}
+        for node, info in self.nodes.items():
+            for v in self.rcs.component_cells(info.component)[0]:
+                cur = f"{node}|{v}"
+                if cur in self.vertices:
+                    prov_v[cur] = (node, v)
         pq = self._pq
         prov_e = {ce: (node, e0, pq[lo], pq[hi])
                   for (node, e0), chain in self.arcs.items() for ce, lo, hi in chain}
@@ -492,19 +502,25 @@ class PartialUnion:
 
     def to_json_dict(self) -> dict:
         prov_v, prov_e = self.provenance()
+        tree = {}
+        for node, info in sorted(self.nodes.items()):
+            tree[node] = {
+                "parent": info.parent,
+                "depth": info.depth,
+                "component": info.component,
+                "via": None if info.via is None else info.via.to_json(),
+            }
         return {
             "schema": "tog/1",
             "graph": self.graph.to_json_dict(),
-            "tree": {
-                node: {"parent": info.parent, "depth": info.depth, "component": info.component,
-                       "via": None if info.via is None else info.via.to_json()}
-                for node, info in sorted(self.nodes.items())
-            },
+            "tree": tree,
             "frontier": [s.to_json() for s in self.frontier],
             "provenance": {
                 "vertices": {v: {"node": n, "cell": c} for v, (n, c) in prov_v.items()},
-                "edges": {e: {"node": n, "cell": c, "interval": [lo, hi]}
-                          for e, (n, c, lo, hi) in prov_e.items()},
+                "edges": {
+                    e: {"node": n, "cell": c, "interval": [lo, hi]}
+                    for e, (n, c, lo, hi) in prov_e.items()
+                },
             },
         }
 
@@ -599,8 +615,13 @@ def expand_to_depth(pu: PartialUnion, d: int) -> PartialUnion:
     return out
 
 
-def expand(rcs: GraphicalConnectingSystem, root: int = 0, depth: int = 2, resolution: int = 2,
-           cap: int = 10000) -> PartialUnion:
+def expand(
+    rcs: GraphicalConnectingSystem,
+    root: int = 0,
+    depth: int = 2,
+    resolution: int = 2,
+    cap: int = 10000,
+) -> PartialUnion:
     return expand_to_depth(init(rcs, root, resolution, cap), depth)
 
 
@@ -679,16 +700,23 @@ def project(deep: PartialUnion, shallow: PartialUnion) -> dict[tuple, CellTarget
     return cell_map
 
 
-def compose_cell_maps(outer: dict[tuple, CellTarget],
-                      inner: dict[tuple, CellTarget]) -> dict[tuple, CellTarget]:
+def compose_cell_maps(
+    outer: dict[tuple, CellTarget], inner: dict[tuple, CellTarget]
+) -> dict[tuple, CellTarget]:
     """Compose deep->mid (inner) with mid->shallow (outer)."""
     out: dict[tuple, CellTarget] = {}
     for cell, target in inner.items():
-        if target[0] == "interior":  # an interior point keeps its position on a surviving edge
-            t2 = outer[("edge", target[1])]
-            out[cell] = ("interior", t2[1], target[2]) if t2[0] == "edge" else t2
+        if target[0] == "vertex":
+            out[cell] = outer[("vertex", target[1])]
+        elif target[0] == "edge":
+            out[cell] = outer[("edge", target[1])]
         else:
-            out[cell] = outer[target]
+            _, e, pos = target
+            t2 = outer[("edge", e)]
+            if t2[0] == "edge":
+                out[cell] = ("interior", t2[1], pos)
+            else:
+                out[cell] = t2
     return out
 
 
@@ -723,7 +751,9 @@ def lift_vertex(pu: PartialUnion, node: str, v: str) -> tuple[str, str, str]:
         vs, _ = rcs.component_cells(comp)
         candidates = [u for u in vs if u != glued and rcs.union.degree(u) == deg]
         if len(candidates) != 1:
-            raise SurgeryError(f"ambiguous lift: {len(candidates)} degree-{deg} candidates in {comp}")
+            raise SurgeryError(
+                f"ambiguous lift: {len(candidates)} degree-{deg} candidates in {comp}"
+            )
         node, v = child, candidates[0]
     return node, v, f"{node}|{v}"
 
@@ -745,8 +775,11 @@ def resolve_locus(pu: PartialUnion, node: str, cell: str, position: Optional[Fra
     return ("interior", chain[hit][0], position)
 
 
-def analyze_point(pus: Sequence[PartialUnion], locus: tuple,
-                  pair_with: Optional[tuple] = None) -> PointTrace:
+def analyze_point(
+    pus: Sequence[PartialUnion],
+    locus: tuple,
+    pair_with: Optional[tuple] = None,
+) -> PointTrace:
     """Degree trace of a tracked locus across a sequence of partial unions.
 
     locus is (node, cell) for a vertex or (node, edge, position) for an
@@ -758,11 +791,14 @@ def analyze_point(pus: Sequence[PartialUnion], locus: tuple,
         tgt = resolve_locus(pu, *locus)
         entry = {"target": tgt, "degree": pu.graph.degree(tgt[1]) if tgt[0] == "vertex" else 2}
         if pair_with is not None:
-            loci = [
-                Vertex(t[1]) if t[0] == "vertex" else Interior(t[1], t[2])
-                for t in (tgt, resolve_locus(pu, *pair_with))
-            ]
-            count, _ = complement_components(pu.graph, loci)
+            tgt2 = resolve_locus(pu, *pair_with)
+
+            def as_locus(t):
+                if t[0] == "vertex":
+                    return Vertex(t[1])
+                return Interior(t[1], t[2])
+
+            count, _ = complement_components(pu.graph, [as_locus(tgt), as_locus(tgt2)])
             entry["pair_components"] = count
         entries.append(entry)
     return PointTrace(locus, entries)

@@ -292,6 +292,8 @@ MALFORMED = {
     "jsj-bool-sharp": (jsj_doc(golden_g2, ("reps", 0, "slots", 0, 1, 1), True), JSJ),
     "jsj-bool-slot-index": (jsj_doc(golden_g2, ("reps", 0, "slots", 0, 0, 1), True), JSJ),
     "jsj-list-slot-label": (jsj_doc(golden_g2, ("reps", 0, "slots", 0, 0, 0), ["a"]), JSJ),
+    "jsj-short-slot-label": (jsj_doc(golden_g2, ("reps", 0, "slots", 0, 0), ["a"]), JSJ),
+    "jsj-long-slot-label": (jsj_doc(golden_g2, ("reps", 0, "slots", 0, 0), ["a", 1, 2]), JSJ),
     "graph-repeated-edge-id": (json.dumps(repeated(K4_DOC, "edges")), ["graph", "{doc}"]),
     "graph-repeated-vertex": (json.dumps(repeated(K4_DOC, "vertices")), ["graph", "{doc}"]),
     "rcs-repeated-edge-id": (
@@ -309,6 +311,8 @@ FIRST_VIOLATION = {
     "analyze-vertex-position": "SurgeryError",
     "analyze-unknown-edge": "SurgeryError",
     "analyze-unknown-pair-edge": "SurgeryError",
+    "jsj-short-slot-label": "MalformedInput: slot label must be a list [xi, j]",
+    "jsj-long-slot-label": "MalformedInput: slot label must be a list [xi, j]",
 }
 
 
