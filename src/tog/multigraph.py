@@ -8,7 +8,8 @@ along that orientation.
 The operations here are the building blocks for everything else in the
 package: blow-up at a set of point loci, the inverse blow-down, connected
 sums along divisor bijections, complement components, and one lowpoint
-DFS that counts cut points and decides 2-connectivity.
+DFS that counts cut points and decides 2-connectivity. Complement components
+come from one union-find over the graph's own tables, with no blow-up built.
 All operations are pure; all iteration orders are sorted so that outputs are
 deterministic.
 """
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Mapping, Optional
 
 
@@ -210,8 +212,7 @@ def components(g: Multigraph) -> list[frozenset[str]]:
             x = parent[x]
         return x
 
-    for e in g.edge_ids():
-        v, w = g.ends(e)
+    for v, w in g._edges.values():
         rv, rw = find(v), find(w)
         if rv != rw:
             parent[rv] = rw
@@ -221,14 +222,9 @@ def components(g: Multigraph) -> list[frozenset[str]]:
     return sorted((frozenset(s) for s in groups.values()), key=lambda s: min(s))
 
 
-def blow_up(g: Multigraph, loci: Iterable[PointLocus]) -> BlowUpResult:
-    """Replace each locus by its blow-up divisor.
-
-    A vertex locus x becomes deg(x) divisor vertices, one per edge-end at x.
-    An interior locus splits its edge into two arcs ending at two divisor
-    vertices. Blow-ups at distinct loci commute; the result only depends on
-    the locus set.
-    """
+def _check_loci(g: Multigraph, loci: Iterable[PointLocus]):
+    """The loci as a list, the vertex loci, and the cut positions by edge;
+    raises on a duplicate or a missing cell."""
     loci = list(loci)
     if len(set(loci)) != len(loci):
         raise SurgeryError("duplicate loci")
@@ -236,59 +232,68 @@ def blow_up(g: Multigraph, loci: Iterable[PointLocus]) -> BlowUpResult:
     interior: dict[str, list[Fraction]] = {}
     for x in loci:
         if isinstance(x, Vertex):
-            if x.vertex not in g.vertices:
+            if x.vertex not in g._vertices:
                 raise SurgeryError(f"vertex {x.vertex!r} not in graph")
             vertex_loci.add(x.vertex)
         else:
-            if x.edge not in g.edges:
+            if x.edge not in g._edges:
                 raise SurgeryError(f"edge {x.edge!r} not in graph")
             interior.setdefault(x.edge, []).append(x.position)
+    return loci, vertex_loci, interior
 
-    new_vertices: set[str] = set(g.vertices) - vertex_loci
+
+_ZERO, _ONE = Fraction(0), Fraction(1)
+_WHOLE = (_ZERO, _ONE)
+
+
+def _arc_ends(e: str, t: str, h: str, cuts: list[Fraction], vertex_loci: set[str], fresh) -> list[str]:
+    """The ends of the arcs that edge e = (t, h) splits into, in order along e:
+    a divisor id, passed through fresh, at each locus, and t or h elsewhere."""
+    ends = [fresh(f"{t}@{e}.0") if t in vertex_loci else t]
+    for p in cuts:
+        ends += (fresh(f"{e}@{_pos_token(p)}t"), fresh(f"{e}@{_pos_token(p)}h"))
+    ends.append(fresh(f"{h}@{e}.1") if h in vertex_loci else h)
+    return ends
+
+
+def blow_up(g: Multigraph, loci: Iterable[PointLocus]) -> BlowUpResult:
+    """Replace each locus by its blow-up divisor.
+
+    A vertex locus x becomes deg(x) divisor vertices, one per edge-end at x.
+    An interior locus splits its edge into two arcs ending at two divisor
+    vertices. Blow-ups at distinct loci commute; the result only depends on
+    the locus set. A new vertex id that is already taken raises.
+    """
+    loci, vertex_loci, interior = _check_loci(g, loci)
+    new_vertices: set[str] = set(g._vertices) - vertex_loci
     new_edges: dict[str, tuple[str, str]] = {}
     divisors: dict[PointLocus, dict[str, tuple]] = {x: {} for x in loci}
     arc_map: dict[str, tuple[str, tuple[Fraction, Fraction]]] = {}
     aux: set[str] = set()
     divisor_ids: set[str] = set()
 
-    def fresh(name: str) -> str:
+    def fresh(name: str, into: set[str] = divisor_ids, kind: str = "divisor") -> str:
         if name in new_vertices or name in divisor_ids:
-            raise SurgeryError(f"id collision for divisor vertex {name!r}")
-        divisor_ids.add(name)
+            raise SurgeryError(f"id collision for {kind} vertex {name!r}")
+        into.add(name)
         return name
 
-    for e in g.edge_ids():
-        t, h = g.ends(e)
-        cuts = sorted(interior.get(e, []))
-        # endpoint at position 0 (tail side)
-        if t in vertex_loci:
-            d = fresh(f"{t}@{e}.0")
-            divisors[Vertex(t)][d] = ("end", e, 0)
-            start = d
-        else:
-            start = t
-        if h in vertex_loci:
-            d = fresh(f"{h}@{e}.1")
-            divisors[Vertex(h)][d] = ("end", e, 1)
-            stop = d
-        else:
-            stop = h
-
-        if not cuts and start == t and stop == h:
+    for e, (t, h) in sorted(g._edges.items()):
+        cuts = interior.get(e)
+        if cuts is None and t not in vertex_loci and h not in vertex_loci:
             new_edges[e] = (t, h)
-            arc_map[e] = (e, (Fraction(0), Fraction(1)))
+            arc_map[e] = (e, _WHOLE)
             continue
-
-        bounds = [Fraction(0)] + cuts + [Fraction(1)]
-        seg_vertices = [start]
-        for p in cuts:
-            dt = fresh(f"{e}@{_pos_token(p)}t")
-            dh = fresh(f"{e}@{_pos_token(p)}h")
-            divisors[Interior(e, p)][dt] = ("side", "tail")
-            divisors[Interior(e, p)][dh] = ("side", "head")
-            seg_vertices.append(dt)
-            seg_vertices.append(dh)
-        seg_vertices.append(stop)
+        cuts = sorted(cuts or ())
+        seg_vertices = _arc_ends(e, t, h, cuts, vertex_loci, fresh)
+        if t in vertex_loci:
+            divisors[Vertex(t)][seg_vertices[0]] = ("end", e, 0)
+        if h in vertex_loci:
+            divisors[Vertex(h)][seg_vertices[-1]] = ("end", e, 1)
+        for j, p in enumerate(cuts):
+            divisors[Interior(e, p)][seg_vertices[2 * j + 1]] = ("side", "tail")
+            divisors[Interior(e, p)][seg_vertices[2 * j + 2]] = ("side", "head")
+        bounds = [_ZERO, *cuts, _ONE]
         nseg = len(bounds) - 1
         for i in range(nseg):
             arc_id = e if nseg == 1 else f"{e}.a{i}"
@@ -296,9 +301,8 @@ def blow_up(g: Multigraph, loci: Iterable[PointLocus]) -> BlowUpResult:
             lo, hi = bounds[i], bounds[i + 1]
             if a in divisor_ids and b in divisor_ids:
                 # isolated open arc: insert an auxiliary midpoint vertex
-                mid_v = f"{arc_id}.mid"
+                mid_v = fresh(f"{arc_id}.mid", new_vertices, "auxiliary")
                 aux.add(mid_v)
-                new_vertices.add(mid_v)
                 mid = (lo + hi) / 2
                 new_edges[f"{arc_id}.m0"] = (a, mid_v)
                 new_edges[f"{arc_id}.m1"] = (mid_v, b)
@@ -404,23 +408,22 @@ def connected_sum(
 
     vertices = set(rename1.values()) | set(rename2.values())
     edges: dict[str, tuple[str, str]] = {}
-    for e, (v, w) in r1.graph.edges.items():
+    for e, (v, w) in r1.graph._edges.items():
         edges["L:" + e] = (rename1[v], rename1[w])
-    for e, (v, w) in r2.graph.edges.items():
+    for e, (v, w) in r2.graph._edges.items():
         edges["R:" + e] = (rename2[v], rename2[w])
     graph = Multigraph(vertices, edges)
 
     def build_projection(r: BlowUpResult, x: PointLocus, rename: dict, tag: str) -> dict:
         proj: dict = {}
         div = set(r.divisors[x])
+        arc_into = {h: a for a, (t, h) in r.graph._edges.items() if h in r.aux_midpoints}
         for v in r.graph.vertices:
             key = ("vertex", rename[v])
             if v in div:
                 proj[key] = ("locus", x)
             elif v in r.aux_midpoints:
-                orig, (lo, hi) = next(
-                    r.arc_map[a] for a, (t, h) in r.graph.edges.items() if h == v
-                )
+                orig, (lo, hi) = r.arc_map[arc_into[v]]
                 proj[key] = ("locus", Interior(orig, hi))
             else:
                 proj[key] = ("vertex", v)
@@ -432,10 +435,11 @@ def connected_sum(
     proj1 = build_projection(r1, x1, rename1, "L:")
     proj2 = build_projection(r2, x2, rename2, "R:")
     # cells of the other side project to the surgery locus
+    in_seam = set(seam)
     for v in graph.vertices:
-        if v.startswith("R:") or v in seam:
+        if v.startswith("R:") or v in in_seam:
             proj1.setdefault(("vertex", v), ("locus", x1))
-        if v.startswith("L:") or v in seam:
+        if v.startswith("L:") or v in in_seam:
             proj2.setdefault(("vertex", v), ("locus", x2))
     for e in graph.edge_ids():
         if e.startswith("R:"):
@@ -446,22 +450,70 @@ def connected_sum(
     return ConnectedSumResult(graph, seam, (proj1, proj2))
 
 
+def _complement(g: Multigraph, loci: Iterable[PointLocus]) -> tuple[dict[str, str], dict[str, str]]:
+    """The components of g minus the loci, read off g's own tables.
+
+    One union-find joins the surviving vertices through every edge that
+    touches no locus (Tarjan 1975). Returns (root, reach): root maps each
+    surviving vertex to its component's root, and reach maps each divisor id
+    that blow_up would create to the root its arc reaches, or to the mid id of
+    the isolated open arc it bounds. Loci and id collisions raise as in blow_up.
+    """
+    loci, vertex_loci, interior = _check_loci(g, loci)
+    parent = {v: v for v in g._vertices if v not in vertex_loci}
+
+    def find(x: str) -> str:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for e, (t, h) in g._edges.items():
+        if t in parent and h in parent and e not in interior:
+            rt, rh = find(t), find(h)
+            if rt != rh:
+                parent[rt] = rh
+    root = {v: find(v) for v in parent}
+    taken: set[str] = set()
+
+    def fresh(name: str) -> str:
+        if name in root or name in taken:
+            blow_up(g, loci)  # raises the collision error
+        taken.add(name)
+        return name
+
+    touched = {e for v in vertex_loci for e, _ in g._incidence()[v]}.union(interior)
+    reach: dict[str, str] = {}
+    for e in sorted(touched):
+        t, h = g._edges[e]
+        cuts = sorted(interior.get(e, ()))
+        ends = _arc_ends(e, t, h, cuts, vertex_loci, fresh)
+        for i, (a, b) in enumerate(zip(ends[::2], ends[1::2])):
+            if a in root:
+                reach[b] = root[a]
+            elif b in root:
+                reach[a] = root[b]
+            else:  # an isolated open arc
+                reach[a] = reach[b] = fresh(f"{e}.mid" if not cuts else f"{e}.a{i}.mid")
+    return root, reach
+
+
 def complement_components(
     g: Multigraph, loci: Iterable[PointLocus]
 ) -> tuple[int, dict[str, int]]:
     """pi_0 of the complement of the loci, with the divisor-to-component map.
 
     Returns (component count, iota) where iota assigns each divisor vertex of
-    the blow-up the index of its component (components sorted by least vertex).
+    the blow-up the index of its component, with the components sorted by
+    their least blow-up vertex id (divisors and auxiliary midpoints count).
     """
-    r = blow_up(g, loci)
-    comps = components(r.graph)
-    where = {}
-    for i, comp in enumerate(comps):
-        for v in comp:
-            where[v] = i
-    iota = {d: where[d] for dd in r.divisors.values() for d in dd}
-    return len(comps), iota
+    root, reach = _complement(g, loci)
+    least: dict[str, str] = {}
+    for v, k in chain(root.items(), reach.items(), ((k, k) for k in reach.values())):
+        if k not in least or v < least[k]:
+            least[k] = v
+    index = {k: i for i, k in enumerate(sorted(least, key=least.__getitem__))}
+    return len(index), {d: index[k] for d, k in reach.items()}
 
 
 def cut_counts(g: Multigraph, skip: Optional[str] = None) -> tuple[int, dict[str, int]]:
@@ -521,10 +573,10 @@ def is_two_connected(g: Multigraph) -> bool:
     """
     if not g.vertices or len(g.vertices) < 2:
         return False
-    if any(g.is_loop(e) for e in g.edge_ids()):
+    if any(v == w for v, w in g._edges.values()):
         return False  # the loop's vertex is a cutpoint
     reached, pieces = cut_counts(g)
-    return reached == len(g.vertices) and max(pieces.values()) == 1 and len(g.edges) > 1
+    return reached == len(g.vertices) and max(pieces.values()) == 1 and len(g._edges) > 1
 
 
 def theta_graph(k: int, prefix: str = "") -> Multigraph:

@@ -13,6 +13,9 @@ connected piece whose only essential vertices are x and y; it meets the
 remainder only at the two cut points, which a single join edge then connects.
 So for essential u, v of the remainder, the degrees and the components of the
 complement of {u, v} are unchanged: its twin pairs are the old ones minus {x, y}.
+
+Each peel reads the essential components of the complement of a candidate
+pair, and the edges into them, from a union-find; only the split blows up.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from .multigraph import (
     PointLocus,
     SurgeryError,
     Vertex,
+    _complement,
     blow_up,
     complement_components,
     components,
@@ -176,22 +180,31 @@ class ThetaSumTree:
         }
 
 
-def _essential_component_data(g: Multigraph, x: str, y: str):
-    """Components of g minus {x, y}, with divisor membership and essential census."""
-    r = blow_up(g, [Vertex(x), Vertex(y)])
-    where = {v: i for i, comp in enumerate(components(r.graph)) for v in comp}
-    ess_comps = sorted({where[v] for v in essential_vertices(g) if v not in (x, y)})
-    return r, where, ess_comps
+def _essential_component_data(g: Multigraph, x: str, y: str, essential: list[str]):
+    """The union-find roots of g minus {x, y}, and the roots of the
+    components that hold essential vertices."""
+    root = _complement(g, [Vertex(x), Vertex(y)])[0]
+    return root, {root[v] for v in essential if v not in (x, y)}
 
 
 def _inner_twin_pair(g: Multigraph, twins: list[tuple[str, str]]):
     """The first of the twin pairs with at most one essential complement
-    component, with the blow-up data of that complement."""
+    component, the roots of that complement, and the root of its essential
+    component (None if it has none)."""
+    essential = essential_vertices(g)
     for x, y in twins:
-        r, where, ess_comps = _essential_component_data(g, x, y)
-        if len(ess_comps) <= 1:
-            return x, y, r, where, ess_comps
+        root, ess = _essential_component_data(g, x, y, essential)
+        if len(ess) <= 1:
+            return x, y, root, next(iter(ess), None)
     raise SurgeryError("no essential twin pair with an inner component (not a twin graph?)")
+
+
+def _edge_into(g: Multigraph, root: dict[str, str], target: str, vx: str) -> str:
+    """The one edge at vx whose far end lies in the component rooted at target."""
+    hits = [e for e, i in g.link(vx) if root.get(g.ends(e)[1 - i]) == target]
+    if len(hits) != 1:
+        raise SurgeryError("essential component not attached by a single edge")
+    return hits[0]
 
 
 def _unsplit(rec: SplitRecord, cpiece: Multigraph) -> Multigraph:
@@ -226,26 +239,14 @@ def theta_sum_decomposition(g: Multigraph) -> ThetaSumTree:
     current = g
     step = 0
     while True:
-        x, y, r, where, ess_comps = _inner_twin_pair(current, twins)
+        x, y, root, target = _inner_twin_pair(current, twins)
         k = current.degree(x)
-        if not ess_comps:
+        if target is None:
             summands.append(k)
             return ThetaSumTree(summands, records, current)
 
-        # locate the edges at x and y leading into the essential component
-        target = ess_comps[0]
-
-        def edge_into(vx: str) -> str:
-            hits = [
-                desc[1]
-                for d, desc in r.divisors[Vertex(vx)].items()
-                if where[d] == target
-            ]
-            if len(hits) != 1:
-                raise SurgeryError("essential component not attached by a single edge")
-            return hits[0]
-
-        e_x, e_y = edge_into(x), edge_into(y)
+        # the edges at x and y leading into the essential component
+        e_x, e_y = _edge_into(current, root, target, x), _edge_into(current, root, target, y)
         half = Fraction(1, 2)
         rs = blow_up(current, [Interior(e_x, half), Interior(e_y, half)])
         scomps = components(rs.graph)

@@ -12,7 +12,7 @@ from typing import Optional
 
 import networkx as nx
 
-from tog.multigraph import Multigraph, SurgeryError, Vertex, blow_up, complement_components, components
+from tog.multigraph import Multigraph, PointLocus, SurgeryError, Vertex, blow_up, components
 from tog.rcs import CellTarget, PartialUnion, Site, _resolve_site_locus, schedule_sites
 from tog.vsystem import ConnectingVSystem, Line, _mirror, _vertex_profile
 
@@ -91,6 +91,36 @@ def two_connected_by_definition(g: Multigraph) -> bool:
     return True
 
 
+def complement_components_by_blow_up(
+    g: Multigraph, loci: list[PointLocus]
+) -> tuple[int, dict[str, int]]:
+    """pi_0 of the complement of the loci, counted on the blow-up: the
+    components sorted by least vertex, and each divisor's component index."""
+    r = blow_up(g, loci)
+    comps = components(r.graph)
+    where = {v: i for i, comp in enumerate(comps) for v in comp}
+    return len(comps), {d: where[d] for dd in r.divisors.values() for d in dd}
+
+
+def inner_census_by_blow_up(g: Multigraph, x: str, y: str):
+    """Which components of the blow-up at {x, y} hold essential vertices.
+
+    Returns (at most one such component, the entry edges): when exactly one
+    does, the edge at x and the edge at y whose divisor lies in it, each None
+    when there is not exactly one; otherwise the entries are None."""
+    r = blow_up(g, [Vertex(x), Vertex(y)])
+    where = {v: i for i, comp in enumerate(components(r.graph)) for v in comp}
+    ess = {where[v] for v in g.vertex_ids() if g.degree(v) != 2 and v not in (x, y)}
+    if len(ess) != 1:
+        return len(ess) <= 1, None
+    (target,) = ess
+    entries = []
+    for vx in (x, y):
+        hits = [end[1] for d, end in r.divisors[Vertex(vx)].items() if where[d] == target]
+        entries.append(hits[0] if len(hits) == 1 else None)
+    return True, tuple(entries)
+
+
 def scan_twin(g: Multigraph, x: str) -> Optional[str]:
     """Definitional twin of x: every equal-degree y whose complement pair
     {x, y} has deg x components, counted on the blow-up."""
@@ -100,7 +130,7 @@ def scan_twin(g: Multigraph, x: str) -> Optional[str]:
         for y in g.vertex_ids()
         if y != x
         and g.degree(y) == d
-        and complement_components(g, [Vertex(x), Vertex(y)])[0] == d
+        and complement_components_by_blow_up(g, [Vertex(x), Vertex(y)])[0] == d
     ]
     if len(found) > 1:
         raise SurgeryError(f"vertex {x!r} has more than one twin: {found}")

@@ -8,7 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from generators import random_sum_pair, random_two_connected
-from oracles import is_homeomorphic, is_isomorphic, smoothed, two_connected_by_definition
+from oracles import (
+    complement_components_by_blow_up,
+    is_homeomorphic,
+    is_isomorphic,
+    smoothed,
+    two_connected_by_definition,
+)
 from tog.multigraph import (
     Interior,
     Multigraph,
@@ -113,9 +119,71 @@ def test_complement_components_counts():
     k4 = complete_graph(4)
     count, iota = complement_components(k4, [Vertex("v1"), Vertex("v2")])
     assert count == 2  # the edge v1v2 arc, and the rest through v3, v4
+    # the arc's least id is its midpoint e12.mid, so it comes first
+    assert iota == {
+        "v1@e12.0": 0, "v2@e12.1": 0,
+        "v1@e13.0": 1, "v1@e14.0": 1, "v2@e23.0": 1, "v2@e24.0": 1,
+    }
     t3 = theta_graph(3)
-    count, _ = complement_components(t3, [Vertex("u"), Vertex("w")])
+    count, iota = complement_components(t3, [Vertex("u"), Vertex("w")])
     assert count == 3
+    assert iota == {f"{v}@e{i}.{j}": i - 1 for i in (1, 2, 3) for v, j in (("u", 0), ("w", 1))}
+    cuts = [Interior("e1", Fraction(1, 3)), Interior("e1", Fraction(2, 3)), Vertex("u")]
+    count, iota = complement_components(t3, cuts)
+    assert count == 3  # e1's arc at u, e1's middle arc, and w with the rest
+    assert iota == {
+        "u@e1.0": 0, "e1@1_3t": 0, "e1@1_3h": 1, "e1@2_3t": 1,
+        "e1@2_3h": 2, "u@e2.0": 2, "u@e3.0": 2,
+    }
+
+
+def test_auxiliary_midpoint_id_collision_raises():
+    # blowing up u and w leaves e1 an isolated arc, whose midpoint id e1.mid
+    # is already a vertex of the graph
+    g = Multigraph(
+        ["u", "w", "e1.mid"],
+        {"e1": ("u", "w"), "e2": ("u", "e1.mid"), "e3": ("e1.mid", "w")},
+    )
+    loci = [Vertex("u"), Vertex("w")]
+    message = "id collision for auxiliary vertex 'e1.mid'"
+    with pytest.raises(SurgeryError, match=message):
+        blow_up(g, loci)
+    with pytest.raises(SurgeryError, match=message):
+        complement_components(g, loci)
+
+
+# vertex ids that blow-up divisor and midpoint ids can collide with; edge
+# ids stay e0, e1, ... (blow_up does not check its new edge ids)
+_CLASHING = ["e0.mid", "a@e0.0", "b@e1.1", "e1@1_2t", "e2.a1.mid"]
+
+
+def _outcome(fn, g: Multigraph, loci: list):
+    try:
+        return fn(g, loci)
+    except SurgeryError as ex:
+        return str(ex)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(0, 10**6))
+def test_complement_components_match_blow_up(seed):
+    # loops, parallel edges and isolated vertices; 1-4 loci mixing vertices
+    # and cuts, with repeated cuts on one edge and clashing ids now and then
+    rng = random.Random(seed)
+    names = ["a", "b", "c", "d"] + rng.sample(_CLASHING, rng.randint(0, 3))
+    vertices = rng.sample(names, rng.randint(1, min(6, len(names))))
+    edges = {f"e{k}": (rng.choice(vertices), rng.choice(vertices)) for k in range(rng.randint(0, 7))}
+    g = Multigraph(vertices, edges)
+    loci = []
+    for _ in range(rng.randint(1, 4)):
+        if edges and rng.random() < 0.5:
+            loci.append(Interior(rng.choice(sorted(edges)), Fraction(rng.randint(1, 3), 4)))
+        else:
+            loci.append(Vertex(rng.choice(vertices)))
+    if rng.random() < 0.9:
+        loci = list(dict.fromkeys(loci))  # a repeated locus is rejected
+    expected = _outcome(complement_components_by_blow_up, g, loci)
+    assert _outcome(complement_components, g, loci) == expected
 
 
 # -- 2-connectivity against a subdivision oracle ---------------------------

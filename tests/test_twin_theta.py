@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from generators import random_theta_sum, random_two_connected
-from oracles import scan_twin
+from oracles import inner_census_by_blow_up, scan_twin
 from tog.multigraph import (
     Interior,
     Multigraph,
@@ -21,6 +21,9 @@ from tog.twin_theta import (
     IsCircle,
     NotTwinGraph,
     ThetaSumTree,
+    _edge_into,
+    _essential_component_data,
+    _twin_pairs,
     essential_twin,
     essential_vertices,
     is_twin_graph,
@@ -135,6 +138,29 @@ def test_essential_twin_matches_blow_up_scan(theta_sum, seed):
     for x in g.vertex_ids():
         if g.degree(x) >= 3:
             assert _twin_or_error(essential_twin, g, x) == _twin_or_error(scan_twin, g, x)
+
+
+def _kernel_census(g: Multigraph, x: str, y: str):
+    root, ess = _essential_component_data(g, x, y, essential_vertices(g))
+    if len(ess) != 1:
+        return len(ess) <= 1, None
+    (target,) = ess
+
+    def entry(vx: str):
+        try:
+            return _edge_into(g, root, target, vx)
+        except SurgeryError:
+            return None
+
+    return True, (entry(x), entry(y))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(2, 32), st.integers(0, 10**6))
+def test_inner_census_matches_blow_up(count, seed):
+    g, _ = random_theta_sum(random.Random(seed), count)
+    for x, y in _twin_pairs(g):
+        assert _kernel_census(g, x, y) == inner_census_by_blow_up(g, x, y)
 
 
 def test_essential_twin_requires_essential_vertex():
