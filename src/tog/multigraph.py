@@ -509,6 +509,7 @@ def complement_components(
     """
     root, reach = _complement(g, loci)
     least: dict[str, str] = {}
+    # an isolated arc's key is its midpoint id, itself a blow-up vertex
     for v, k in chain(root.items(), reach.items(), ((k, k) for k in reach.values())):
         if k not in least or v < least[k]:
             least[k] = v

@@ -105,9 +105,9 @@ def complement_components_by_blow_up(
 def inner_census_by_blow_up(g: Multigraph, x: str, y: str):
     """Which components of the blow-up at {x, y} hold essential vertices.
 
-    Returns (at most one such component, the entry edges): when exactly one
-    does, the edge at x and the edge at y whose divisor lies in it, each None
-    when there is not exactly one; otherwise the entries are None."""
+    Returns (whether at most one does, entries). entries is None unless
+    exactly one does; then it holds the edge at x and the edge at y whose
+    divisor lies in that component, each None unless it is the only one."""
     r = blow_up(g, [Vertex(x), Vertex(y)])
     where = {v: i for i, comp in enumerate(components(r.graph)) for v in comp}
     ess = {where[v] for v in g.vertex_ids() if g.degree(v) != 2 and v not in (x, y)}
