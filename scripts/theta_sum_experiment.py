@@ -6,7 +6,8 @@ them, and checks that the recovered summand multiset matches the construction
 and that replaying the recorded splits reproduces the graph cell-for-cell.
 
 With --scaling it instead prints the decomposition time of one sum of 16,
-32, 64 and 128 summands (random_theta_sum, seeded with the count):
+32, 64, 128 and 256 summands (random_theta_sum, seeded with the count), and
+checks each replay:
 
     PYTHONPATH=src python3 scripts/theta_sum_experiment.py --scaling
 """
@@ -21,14 +22,14 @@ from generators import random_theta_sum  # noqa: E402
 
 from tog.twin_theta import theta_sum_decomposition  # noqa: E402
 
-SCALING_COUNTS = (16, 32, 64, 128)
+SCALING_COUNTS = (16, 32, 64, 128, 256)
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--trials", type=int, default=100)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--scaling", action="store_true", help="time 16 to 128 summands")
+    ap.add_argument("--scaling", action="store_true", help="time 16 to 256 summands")
     args = ap.parse_args()
     if args.scaling:
         for count in SCALING_COUNTS:
@@ -37,6 +38,7 @@ def main():
             tree = theta_sum_decomposition(g)
             elapsed = time.perf_counter() - t0
             assert sorted(tree.summands) == sizes
+            assert tree.replay() == g, "replay did not reproduce the input graph"
             print(f"{count:4d} summands  {len(g.edges):5d} edges  {elapsed:8.3f} s")
         return
 

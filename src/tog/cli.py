@@ -25,18 +25,7 @@ from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Optional
 
 from .multigraph import Multigraph, SurgeryError, components, is_two_connected
-from . import rcs as _rcs
-from . import jsj_frontend as _jsj
-from . import vsystem as _vsystem
-from .twin_theta import theta_sum_decomposition
-from .vsystem import ConnectingVSystem
-from .words_whitehead import (
-    PeripheralSpec,
-    cyclically_reduce,
-    extended_whitehead_graph,
-    whitehead_graph,
-    whitehead_v_involution,
-)
+# each subcommand imports the other tog modules it runs, so a process loads only those
 
 
 @dataclass
@@ -159,6 +148,8 @@ def _cmd_graph(args) -> int:
 
 
 def _cmd_twin_decompose(args) -> int:
+    from .twin_theta import theta_sum_decomposition
+
     g = _decode(Multigraph.from_json_dict, args.input)
     tree = theta_sum_decomposition(g)
     _emit_json(tree.to_json_dict())
@@ -166,13 +157,15 @@ def _cmd_twin_decompose(args) -> int:
 
 
 def _cmd_whitehead(args) -> int:
+    from . import words_whitehead as ww
+
     raw_words = [w for w in args.words.split(",") if w]
     labels = (
         [s for s in args.labels.split(",")] if args.labels else list(raw_words)
     )
     if len(labels) != len(raw_words):
         raise _Failure(1, ["MalformedInput: labels/words length mismatch"])
-    words = [cyclically_reduce(w, lab) for w, lab in zip(raw_words, labels)]
+    words = [ww.cyclically_reduce(w, lab) for w, lab in zip(raw_words, labels)]
     if args.multiplicities:
         try:
             mults = [int(s) for s in args.multiplicities.split(",")]
@@ -180,12 +173,12 @@ def _cmd_whitehead(args) -> int:
             raise _Failure(1, [f"MalformedInput: bad multiplicity: {ex}"])
         if len(mults) != len(words):
             raise _Failure(1, ["MalformedInput: multiplicities/words length mismatch"])
-        specs = [PeripheralSpec(w, n) for w, n in zip(words, mults)]
-        W, vsys = extended_whitehead_graph(args.rank, specs)
+        specs = [ww.PeripheralSpec(w, n) for w, n in zip(words, mults)]
+        W, vsys = ww.extended_whitehead_graph(args.rank, specs)
         labels_out = {e: list(W.edge_labels[e]) for e in W.graph.edge_ids()}
     else:
-        W = whitehead_graph(args.rank, words)
-        vsys = whitehead_v_involution(W)
+        W = ww.whitehead_graph(args.rank, words)
+        vsys = ww.whitehead_v_involution(W)
         labels_out = {e: W.edge_labels[e] for e in W.graph.edge_ids()}
     if args.emit == "dot":
         edge_attrs = {e: f'label="{e}:{lab}"' for e, lab in W.edge_labels.items()}
@@ -204,22 +197,37 @@ def _cmd_whitehead(args) -> int:
 
 
 def _cmd_vsystem(args) -> int:
-    vs = _decode(ConnectingVSystem.from_json_dict, args.input)
-    violations = _vsystem.validate(vs)
+    from . import vsystem
+
+    vs = _decode(vsystem.ConnectingVSystem.from_json_dict, args.input)
+    violations = vsystem.validate(vs)
     if violations:
         raise _Failure(1, violations)
-    _emit_json(_vsystem.lines_report(vs))
+    _emit_json(vsystem.lines_report(vs))
     return 0
 
 
-def _cmd_rcs_validate(args) -> int:
-    sys_ = _decode(_rcs.GraphicalConnectingSystem.from_json_dict, args.input)
-    violations = _rcs.validate(sys_)
-    _emit_json({"schema": "tog/1", "violations": violations})
-    return 0 if not violations else 1
+def _cmd_rcs(args) -> int:
+    """Dispatch an rcs subcommand; rcs errors become violation documents."""
+    from . import rcs as _rcs
+
+    if args.rcs_command == "validate":
+        sys_ = _decode(_rcs.GraphicalConnectingSystem.from_json_dict, args.input)
+        violations = _rcs.validate(sys_)
+        _emit_json({"schema": "tog/1", "violations": violations})
+        return 0 if not violations else 1
+    cfg = Config(args.resolution, args.depth, args.root, args.cap, getattr(args, "emit", "json"))
+    try:
+        if args.rcs_command == "expand":
+            return _cmd_rcs_expand(args, cfg)
+        return _cmd_rcs_analyze(args, cfg)
+    except _rcs.InvalidSystem as ex:
+        raise _Failure(1, ex.violations)
+    except _rcs.ResourceCapExceeded as ex:
+        raise _Failure(2, [f"ResourceCapExceeded: {ex}"])
 
 
-def _expansion_dot(pu: _rcs.PartialUnion) -> str:
+def _expansion_dot(pu) -> str:
     prov_v, prov_e = pu.provenance()
     vertex_attrs = {v: 'kind="surgery"' for v in pu.vertices}
     vertex_attrs.update((v, f'node="{n}", cell="{c}"') for v, (n, c) in prov_v.items())
@@ -231,6 +239,8 @@ def _expansion_dot(pu: _rcs.PartialUnion) -> str:
 
 
 def _cmd_rcs_expand(args, cfg: Config) -> int:
+    from . import rcs as _rcs
+
     sys_ = _decode(_rcs.GraphicalConnectingSystem.from_json_dict, args.input)
     pu = _rcs.expand(
         sys_, root=cfg.root, depth=cfg.depth, resolution=cfg.resolution, cap=cfg.cap
@@ -244,6 +254,8 @@ def _cmd_rcs_expand(args, cfg: Config) -> int:
 
 
 def _cmd_rcs_analyze(args, cfg: Config) -> int:
+    from . import rcs as _rcs
+
     sys_ = _decode(_rcs.GraphicalConnectingSystem.from_json_dict, args.input)
     # expansion is level-synchronous, so each depth extends the previous one
     pus = [_rcs.init(sys_, cfg.root, cfg.resolution, cfg.cap)]
@@ -273,6 +285,8 @@ def _cmd_rcs_analyze(args, cfg: Config) -> int:
 
 
 def _cmd_jsj_synth(args) -> int:
+    from . import jsj_frontend as _jsj
+
     if args.golden:
         inp = _jsj.golden_g2() if args.golden == "g2" else _jsj.golden_racg1()
     elif args.input:
@@ -353,25 +367,13 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.command == "vsystem":
             return _cmd_vsystem(args)
         if args.command == "rcs":
-            if args.rcs_command == "validate":
-                return _cmd_rcs_validate(args)
-            cfg = Config(args.resolution, args.depth, args.root, args.cap,
-                         getattr(args, "emit", "json"))
-            if args.rcs_command == "expand":
-                return _cmd_rcs_expand(args, cfg)
-            return _cmd_rcs_analyze(args, cfg)
+            return _cmd_rcs(args)
         if args.command == "jsj":
             return _cmd_jsj_synth(args)
         raise _Failure(1, [f"UnknownCommand: {args.command}"])
     except _Failure as ex:
         _emit_json({"schema": "tog/1", "violations": ex.violations})
         return ex.code
-    except _rcs.InvalidSystem as ex:
-        _emit_json({"schema": "tog/1", "violations": ex.violations})
-        return 1
-    except _rcs.ResourceCapExceeded as ex:
-        _emit_json({"schema": "tog/1", "violations": [f"ResourceCapExceeded: {ex}"]})
-        return 2
     except SurgeryError as ex:
         _emit_json({"schema": "tog/1", "violations": [f"{type(ex).__name__}: {ex}"]})
         return 1

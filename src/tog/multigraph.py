@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, islice
 from typing import Iterable, Mapping, Optional
 
 
@@ -271,10 +271,11 @@ def blow_up(g: Multigraph, loci: Iterable[PointLocus]) -> BlowUpResult:
     arc_map: dict[str, tuple[str, tuple[Fraction, Fraction]]] = {}
     aux: set[str] = set()
     divisor_ids: set[str] = set()
+    made: set[str] = set()  # new edge ids
 
-    def fresh(name: str, into: set[str] = divisor_ids, kind: str = "divisor") -> str:
-        if name in new_vertices or name in divisor_ids:
-            raise SurgeryError(f"id collision for {kind} vertex {name!r}")
+    def fresh(name: str, into=divisor_ids, kind="divisor vertex", old=new_vertices) -> str:
+        if name in old or name in into:
+            raise SurgeryError(f"id collision for {kind} {name!r}")
         into.add(name)
         return name
 
@@ -296,18 +297,19 @@ def blow_up(g: Multigraph, loci: Iterable[PointLocus]) -> BlowUpResult:
         bounds = [_ZERO, *cuts, _ONE]
         nseg = len(bounds) - 1
         for i in range(nseg):
-            arc_id = e if nseg == 1 else f"{e}.a{i}"
+            arc_id = e if nseg == 1 else fresh(f"{e}.a{i}", made, "edge", g._edges)
             a, b = seg_vertices[2 * i], seg_vertices[2 * i + 1]
             lo, hi = bounds[i], bounds[i + 1]
             if a in divisor_ids and b in divisor_ids:
                 # isolated open arc: insert an auxiliary midpoint vertex
-                mid_v = fresh(f"{arc_id}.mid", new_vertices, "auxiliary")
+                mid_v = fresh(f"{arc_id}.mid", new_vertices, "auxiliary vertex", divisor_ids)
                 aux.add(mid_v)
                 mid = (lo + hi) / 2
-                new_edges[f"{arc_id}.m0"] = (a, mid_v)
-                new_edges[f"{arc_id}.m1"] = (mid_v, b)
-                arc_map[f"{arc_id}.m0"] = (e, (lo, mid))
-                arc_map[f"{arc_id}.m1"] = (e, (mid, hi))
+                m0, m1 = (fresh(f"{arc_id}.{m}", made, "edge", g._edges) for m in ("m0", "m1"))
+                new_edges[m0] = (a, mid_v)
+                new_edges[m1] = (mid_v, b)
+                arc_map[m0] = (e, (lo, mid))
+                arc_map[m1] = (e, (mid, hi))
             else:
                 new_edges[arc_id] = (a, b)
                 arc_map[arc_id] = (e, (lo, hi))
@@ -457,7 +459,8 @@ def _complement(g: Multigraph, loci: Iterable[PointLocus]) -> tuple[dict[str, st
     touches no locus (Tarjan 1975). Returns (root, reach): root maps each
     surviving vertex to its component's root, and reach maps each divisor id
     that blow_up would create to the root its arc reaches, or to the mid id of
-    the isolated open arc it bounds. Loci and id collisions raise as in blow_up.
+    the isolated open arc it bounds. Loci and id collisions, of vertices and
+    of edges, raise as in blow_up.
     """
     loci, vertex_loci, interior = _check_loci(g, loci)
     parent = {v: v for v in g._vertices if v not in vertex_loci}
@@ -475,11 +478,12 @@ def _complement(g: Multigraph, loci: Iterable[PointLocus]) -> tuple[dict[str, st
                 parent[rt] = rh
     root = {v: find(v) for v in parent}
     taken: set[str] = set()
+    made: set[str] = set()  # new edge ids
 
-    def fresh(name: str) -> str:
-        if name in root or name in taken:
+    def fresh(name: str, into=taken, old=root) -> str:
+        if name in old or name in into:
             blow_up(g, loci)  # raises the collision error
-        taken.add(name)
+        into.add(name)
         return name
 
     touched = {e for v in vertex_loci for e, _ in g._incidence()[v]}.union(interior)
@@ -489,12 +493,15 @@ def _complement(g: Multigraph, loci: Iterable[PointLocus]) -> tuple[dict[str, st
         cuts = sorted(interior.get(e, ()))
         ends = _arc_ends(e, t, h, cuts, vertex_loci, fresh)
         for i, (a, b) in enumerate(zip(ends[::2], ends[1::2])):
+            arc = fresh(f"{e}.a{i}", made, g._edges) if cuts else e
             if a in root:
                 reach[b] = root[a]
             elif b in root:
                 reach[a] = root[b]
-            else:  # an isolated open arc
-                reach[a] = reach[b] = fresh(f"{e}.mid" if not cuts else f"{e}.a{i}.mid")
+            else:  # an isolated open arc: two edges through its midpoint
+                reach[a] = reach[b] = fresh(f"{arc}.mid")
+                for half in ("m0", "m1"):
+                    fresh(f"{arc}.{half}", made, g._edges)
     return root, reach
 
 
@@ -517,24 +524,33 @@ def complement_components(
     return len(index), {d: index[k] for d, k in reach.items()}
 
 
-def cut_counts(g: Multigraph, skip: Optional[str] = None) -> tuple[int, dict[str, int]]:
+def cut_counts(
+    g: Multigraph, skip: Optional[str] = None, marked: Optional[set[str]] = None
+) -> tuple[int, dict[str, int], dict[str, int]]:
     """Cut-vertex census of g minus the vertex skip, by one lowpoint DFS.
 
-    Returns (reached, pieces): reached is the number of vertices the search
-    from the least vertex reaches, and pieces[v] is the number of components
-    of (g - skip) - v, for every other vertex v (Hopcroft-Tarjan 1973). Loops
-    are ignored; parallel edges are told apart by edge id, so only the tree
-    edge itself leads back to a vertex's parent.
+    Returns (reached, pieces, held): reached is the number of vertices the
+    search from the least vertex reaches, and pieces[v] is the number of
+    components of (g - skip) - v, for every other vertex v (Hopcroft-Tarjan
+    1973). Loops are ignored; parallel edges are told apart by edge id, so
+    only the tree edge itself leads back to a vertex's parent. Given marked
+    vertices, held[v] counts the pieces holding one other than v: a separated
+    DFS child's subtree, the parent's piece (the rest of v's search tree), or
+    another search tree.
     """
     links, ends_of = g._incidence(), g._edges
     disc: dict[str, int] = {}
     low: dict[str, int] = {}
     pieces: dict[str, int] = {}
-    reached = searches = 0
+    # marked vertices under v's children, and under those cut off from its parent
+    below, apart, held = {}, {}, {}
+    reached = searches = busy = 0
+    track = marked is not None
     for root in g.vertex_ids():
         if root == skip or root in disc:
             continue
         searches += 1
+        first = len(disc)
         disc[root] = low[root] = len(disc)
         pieces[root] = 0  # the root splits into one piece per DFS child
         stack = [(root, None, iter(links[root]))]
@@ -556,11 +572,24 @@ def cut_counts(g: Multigraph, skip: Optional[str] = None) -> tuple[int, dict[str
                 if stack:
                     u = stack[-1][0]
                     low[u] = min(low[u], low[v])
+                    if track:
+                        n = below.get(v, 0) + (v in marked)
+                        below[u] = below.get(u, 0) + n
                     if low[v] >= disc[u]:
                         pieces[u] += 1
+                        if track:
+                            apart[u] = apart.get(u, 0) + n
+                            held[u] = held.get(u, 0) + (n > 0)
         if searches == 1:
             reached = len(disc)
-    return reached, {v: n + searches - 1 for v, n in pieces.items()}
+        if track:
+            total = below.get(root, 0) + (root in marked)
+            busy += total > 0
+            for v in islice(disc, first, None):
+                rest = v != root and total - (v in marked) - apart.get(v, 0) > 0
+                held[v] = held.get(v, 0) + rest - (total > 0)
+    held = {v: n + busy for v, n in held.items()}
+    return reached, {v: n + searches - 1 for v, n in pieces.items()}, held
 
 
 def is_two_connected(g: Multigraph) -> bool:
@@ -576,7 +605,7 @@ def is_two_connected(g: Multigraph) -> bool:
         return False
     if any(v == w for v, w in g._edges.values()):
         return False  # the loop's vertex is a cutpoint
-    reached, pieces = cut_counts(g)
+    reached, pieces, _ = cut_counts(g)
     return reached == len(g.vertices) and max(pieces.values()) == 1 and len(g._edges) > 1
 
 

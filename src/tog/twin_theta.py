@@ -8,14 +8,13 @@ recovers the summand sizes by repeatedly splitting off a theta summand at an
 essential twin pair whose complement has at most one component containing
 essential vertices.
 
-The essential twin pairs are computed once. A split at {x, y} cuts off a
-connected piece whose only essential vertices are x and y; it meets the
-remainder only at the two cut points, which a single join edge then connects.
-So for essential u, v of the remainder, the degrees and the components of the
-complement of {u, v} are unchanged: its twin pairs are the old ones minus {x, y}.
-
-Each peel reads the essential components of the complement of a candidate
-pair, and the edges into them, from a union-find; only the split blows up.
+The essential twin pairs are found once, each with its count of complement
+components that hold an essential vertex, by the lowpoint DFS that finds it.
+A split at {x, y} cuts off a connected piece whose only essential vertices are
+x and y; it meets the remainder only at two cut points, which a join edge then
+connects. So the remainder's twin pairs are the old ones minus {x, y}, and
+only one count drops: that of the pair {a, b} where the arcs out of the piece
+end, which loses the component that held just x and y. Only the split blows up.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ from .multigraph import (
     PointLocus,
     SurgeryError,
     Vertex,
-    _complement,
     blow_up,
     complement_components,
     components,
@@ -80,44 +78,54 @@ def essential_twin(g: Multigraph, x: str) -> Optional[str]:
         raise SurgeryError("twin analysis requires a 2-connected graph")
     if g.degree(x) < 3:
         raise SurgeryError("essential_twin requires a vertex of degree >= 3")
-    return _twin_of(g, x)
+    return _twin_of(g, x, set(essential_vertices(g)))[0]
 
 
-def _twin_of(g: Multigraph, x: str) -> Optional[str]:
-    """The twin of an essential vertex x of a 2-connected graph g.
+def _twin_of(g: Multigraph, x: str, essential: set[str]) -> tuple[Optional[str], int]:
+    """The twin y of an essential vertex x of a 2-connected graph g, and how
+    many components of the complement of {x, y} hold an essential vertex.
 
     The twin of a vertex of degree >= 3 must itself be a vertex y of the same
     degree. The complement of {x, y} is (g - x) - y, counted by one cut-point
-    census of g - x, plus one open arc per edge between x and y.
+    census of g - x, plus one open arc per edge between x and y; the arcs
+    hold no vertex, so the census also counts the essential components.
     """
-    d = g.degree(x)
-    _, pieces = cut_counts(g, x)
-    arcs = Counter(g.ends(e)[1 - i] for e, i in g.link(x))
-    found = [
-        y
-        for y in g.vertex_ids()
-        if y != x and g.degree(y) == d and pieces[y] + arcs[y] == d
-    ]
+    links = g._incidence()
+    d = len(links[x])
+    _, pieces, held = cut_counts(g, x, essential)
+    arcs = Counter(g.ends(e)[1 - i] for e, i in links[x])
+    found = sorted(y for y, n in pieces.items() if len(links[y]) == d and n + arcs[y] == d)
     if len(found) > 1:
         raise SurgeryError(f"vertex {x!r} has more than one twin: {found}")
-    return found[0] if found else None
+    return (found[0], held[found[0]]) if found else (None, 0)
 
 
 def essential_vertices(g: Multigraph) -> list[str]:
     return [v for v in g.vertex_ids() if g.degree(v) != 2]
 
 
-def _twin_pairs(g: Multigraph) -> Optional[list[tuple[str, str]]]:
-    """The sorted essential twin pairs (x < y) of a 2-connected graph g, or
-    None if some essential vertex has no twin."""
-    pairs = []
-    for x in essential_vertices(g):
-        y = _twin_of(g, x)
+def _twin_pairs(g: Multigraph) -> Optional[dict[tuple[str, str], int]]:
+    """The essential twin pairs (x < y) of a 2-connected graph g, in sorted
+    order, each with the number of components of its complement that hold an
+    essential vertex; None if some essential vertex has no twin.
+
+    An essential vertex has at most one twin: each complement component takes
+    one of the d edge-ends at x, so if y were also the twin of some z != x,
+    the component of g - {y, z} holding x would take d - 1 >= 2 ends at y.
+    So the twin of a vertex needs no search of its own.
+    """
+    essential = {v for v, ends in g._incidence().items() if len(ends) != 2}
+    counts: dict[tuple[str, str], int] = {}
+    paired: set[str] = set()
+    for x in sorted(essential):
+        if x in paired:
+            continue
+        y, held = _twin_of(g, x, essential)
         if y is None:
             return None
-        if x < y:
-            pairs.append((x, y))
-    return pairs
+        paired.add(y)
+        counts[x, y] = held  # y > x, or x would have been paired already
+    return counts
 
 
 def is_twin_graph(g: Multigraph) -> bool:
@@ -180,31 +188,20 @@ class ThetaSumTree:
         }
 
 
-def _essential_component_data(g: Multigraph, x: str, y: str, essential: list[str]):
-    """The union-find roots of g minus {x, y}, and the roots of the
-    components that hold essential vertices."""
-    root = _complement(g, [Vertex(x), Vertex(y)])[0]
-    return root, {root[v] for v in essential if v not in (x, y)}
-
-
-def _inner_twin_pair(g: Multigraph, twins: list[tuple[str, str]]):
-    """The first of the twin pairs with at most one essential complement
-    component, the roots of that complement, and the root of its essential
-    component (None if it has none)."""
-    essential = essential_vertices(g)
-    for x, y in twins:
-        root, ess = _essential_component_data(g, x, y, essential)
-        if len(ess) <= 1:
-            return x, y, root, next(iter(ess), None)
-    raise SurgeryError("no essential twin pair with an inner component (not a twin graph?)")
-
-
-def _edge_into(g: Multigraph, root: dict[str, str], target: str, vx: str) -> str:
-    """The one edge at vx whose far end lies in the component rooted at target."""
-    hits = [e for e, i in g.link(vx) if root.get(g.ends(e)[1 - i]) == target]
-    if len(hits) != 1:
+def _exit(g: Multigraph, x: str, y: str) -> tuple[str, str]:
+    """The one edge at x whose arc through degree-2 vertices does not end at
+    y, and the essential vertex where that arc ends."""
+    exits = []
+    for e, i in g.link(x):
+        f, w = e, g.ends(e)[1 - i]
+        while g.degree(w) == 2:
+            f, j = next((h, j) for h, j in g.link(w) if h != f)
+            w = g.ends(f)[1 - j]
+        if w != y:
+            exits.append((e, w))
+    if len(exits) != 1:
         raise SurgeryError("essential component not attached by a single edge")
-    return hits[0]
+    return exits[0]
 
 
 def _unsplit(rec: SplitRecord, cpiece: Multigraph) -> Multigraph:
@@ -226,62 +223,63 @@ def _unsplit(rec: SplitRecord, cpiece: Multigraph) -> Multigraph:
     return Multigraph(vertices, edges)
 
 
+def _peel(g: Multigraph, counts: dict[tuple[str, str], int], step: int):
+    """Split off the theta summand at the first pair of counts with at most one
+    essential complement component: its size, its split record (None when g is
+    that theta) and the remainder. counts is updated to the remainder's: the
+    pair leaves, and the pair {a, b} ending the arcs out of x and y loses the
+    complement component whose only essential vertices were x and y."""
+    x, y = next((p for p, n in counts.items() if n <= 1), (None, None))
+    if x is None:
+        raise SurgeryError("no essential twin pair with an inner component (not a twin graph?)")
+    k = g.degree(x)
+    if counts.pop((x, y)) == 0:
+        return k, None, g
+    # the edges at x and y leading into the essential component
+    (e_x, a), (e_y, b) = _exit(g, x, y), _exit(g, y, x)
+    half = Fraction(1, 2)
+    rs = blow_up(g, [Interior(e_x, half), Interior(e_y, half)])
+    scomps = components(rs.graph)
+    swhere = {v: i for i, comp in enumerate(scomps) for v in comp}
+    theta_side = swhere[x]
+    if len(scomps) != 2:
+        raise SurgeryError("cutting the two arcs did not split the graph in two")
+
+    tjoin, cjoin = f"tj{step}", f"cj{step}"
+    tverts = {v for v in rs.graph.vertices if swhere[v] == theta_side}
+    cverts = set(rs.graph.vertices) - tverts
+    tedges = {e: ends for e, ends in rs.graph.edges.items() if ends[0] in tverts}
+    cedges = {e: ends for e, ends in rs.graph.edges.items() if ends[0] in cverts}
+
+    pairs = {}  # per cut edge, its (theta-side, remainder-side) divisors
+    for e in (e_x, e_y):
+        side = {desc[1]: d for d, desc in rs.divisors[Interior(e, half)].items()}
+        t, h = side["tail"], side["head"]
+        pairs[e] = (t, h) if t in tverts else (h, t)
+    (tx, cx), (ty, cy) = pairs[e_x], pairs[e_y]
+    tedges[tjoin] = (tx, ty)
+    cedges[cjoin] = (cx, cy)
+    tpiece = Multigraph(tverts, tedges)
+    cpiece = Multigraph(cverts, cedges)
+
+    ab = (min(a, b), max(a, b))
+    if ab in counts:
+        counts[ab] -= 1
+    return k, SplitRecord(k, (x, y), (e_x, e_y), tpiece, tjoin, cjoin, pairs), cpiece
+
+
 def theta_sum_decomposition(g: Multigraph) -> ThetaSumTree:
     """Decompose a twin graph (not a circle) into thick theta summand sizes."""
-    twins = _twin_pairs(g) if is_two_connected(g) else None
-    if twins is None:
+    counts = _twin_pairs(g) if is_two_connected(g) else None
+    if counts is None:
         raise NotTwinGraph("input is not a twin graph")
     if not essential_vertices(g):
         raise IsCircle("input is homeomorphic to the circle")
 
-    summands: list[int] = []
-    records: list[SplitRecord] = []
-    current = g
-    step = 0
+    summands, records, current = [], [], g
     while True:
-        x, y, root, target = _inner_twin_pair(current, twins)
-        k = current.degree(x)
-        if target is None:
-            summands.append(k)
-            return ThetaSumTree(summands, records, current)
-
-        # the edges at x and y leading into the essential component
-        e_x, e_y = _edge_into(current, root, target, x), _edge_into(current, root, target, y)
-        half = Fraction(1, 2)
-        rs = blow_up(current, [Interior(e_x, half), Interior(e_y, half)])
-        scomps = components(rs.graph)
-        swhere = {v: i for i, comp in enumerate(scomps) for v in comp}
-        theta_side = swhere[x]
-        if len(scomps) != 2:
-            raise SurgeryError("cutting the two arcs did not split the graph in two")
-
-        tjoin, cjoin = f"tj{step}", f"cj{step}"
-        tverts = {v for v in rs.graph.vertices if swhere[v] == theta_side}
-        cverts = set(rs.graph.vertices) - tverts
-        tedges = {e: ends for e, ends in rs.graph.edges.items() if ends[0] in tverts}
-        cedges = {e: ends for e, ends in rs.graph.edges.items() if ends[0] in cverts}
-
-        pairs = {}
-        tdiv, cdiv = [], []
-        for e in (e_x, e_y):
-            dd = rs.divisors[Interior(e, half)]
-            dside = {desc[1]: d for d, desc in dd.items()}
-            d_tail, d_head = dside["tail"], dside["head"]
-            if d_tail in tverts:
-                pairs[e] = (d_tail, d_head)
-                tdiv.append(d_tail)
-                cdiv.append(d_head)
-            else:
-                pairs[e] = (d_head, d_tail)
-                tdiv.append(d_head)
-                cdiv.append(d_tail)
-        tedges[tjoin] = (tdiv[0], tdiv[1])
-        cedges[cjoin] = (cdiv[0], cdiv[1])
-        tpiece = Multigraph(tverts, tedges)
-        cpiece = Multigraph(cverts, cedges)
-
-        records.append(SplitRecord(k, (x, y), (e_x, e_y), tpiece, tjoin, cjoin, pairs))
+        k, rec, current = _peel(current, counts, len(records))
         summands.append(k)
-        twins.remove((x, y))
-        current = cpiece
-        step += 1
+        if rec is None:
+            return ThetaSumTree(summands, records, current)
+        records.append(rec)

@@ -12,7 +12,15 @@ from typing import Optional
 
 import networkx as nx
 
-from tog.multigraph import Multigraph, PointLocus, SurgeryError, Vertex, blow_up, components
+from tog.multigraph import (
+    Multigraph,
+    PointLocus,
+    SurgeryError,
+    Vertex,
+    _complement,
+    blow_up,
+    components,
+)
 from tog.rcs import CellTarget, PartialUnion, Site, _resolve_site_locus, schedule_sites
 from tog.vsystem import ConnectingVSystem, Line, _mirror, _vertex_profile
 
@@ -119,6 +127,37 @@ def inner_census_by_blow_up(g: Multigraph, x: str, y: str):
         hits = [end[1] for d, end in r.divisors[Vertex(vx)].items() if where[d] == target]
         entries.append(hits[0] if len(hits) == 1 else None)
     return True, tuple(entries)
+
+
+def essential_component_data(g: Multigraph, x: str, y: str):
+    """The union-find roots of g minus {x, y}, and the roots of the
+    components that hold essential vertices."""
+    root = _complement(g, [Vertex(x), Vertex(y)])[0]
+    essential = [v for v in g.vertex_ids() if g.degree(v) != 2 and v not in (x, y)]
+    return root, {root[v] for v in essential}
+
+
+def edge_into(g: Multigraph, root: dict[str, str], target: str, vx: str) -> str:
+    """The one edge at vx whose far end lies in the component rooted at target."""
+    hits = [e for e, i in g.link(vx) if root.get(g.ends(e)[1 - i]) == target]
+    if len(hits) != 1:
+        raise SurgeryError("essential component not attached by a single edge")
+    return hits[0]
+
+
+def peel_by_scan(g: Multigraph, twins: list[tuple[str, str]]):
+    """The pair a peel splits at, found by one union-find per candidate:
+    the first of the twin pairs with at most one essential complement
+    component. Returns the pair and the edges at x and y into that component,
+    or None for the edges when there is none."""
+    for x, y in twins:
+        root, ess = essential_component_data(g, x, y)
+        if len(ess) <= 1:
+            if not ess:
+                return (x, y), None
+            (target,) = ess
+            return (x, y), (edge_into(g, root, target, x), edge_into(g, root, target, y))
+    raise SurgeryError("no essential twin pair with an inner component (not a twin graph?)")
 
 
 def scan_twin(g: Multigraph, x: str) -> Optional[str]:

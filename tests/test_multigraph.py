@@ -20,6 +20,7 @@ from tog.multigraph import (
     Multigraph,
     SurgeryError,
     Vertex,
+    _complement,
     blow_down,
     blow_up,
     complement_components,
@@ -152,9 +153,22 @@ def test_auxiliary_midpoint_id_collision_raises():
         complement_components(g, loci)
 
 
-# vertex ids that blow-up divisor and midpoint ids can collide with; edge
-# ids stay e0, e1, ... (blow_up does not check its new edge ids)
+def test_new_edge_id_collision_raises():
+    # cutting e makes the arcs e.a0 and e.a1, but e.a0 already names an edge
+    g = Multigraph(
+        ["u", "w", "p", "q"], {"e": ("u", "w"), "e.a0": ("p", "q"), "f": ("w", "p")}
+    )
+    loci = [Interior("e", Fraction(1, 2))]
+    message = "id collision for edge 'e.a0'"
+    with pytest.raises(SurgeryError, match=message):
+        blow_up(g, loci)
+    with pytest.raises(SurgeryError, match=message):
+        complement_components(g, loci)
+
+
+# vertex and edge ids that blow-up divisor, midpoint and arc ids can collide with
 _CLASHING = ["e0.mid", "a@e0.0", "b@e1.1", "e1@1_2t", "e2.a1.mid"]
+_CLASHING_EDGES = ["e0.a0", "e1.a1", "e0.m0", "e2.m1", "e1.a0.m1", "e0.a1.m0"]
 
 
 def _outcome(fn, g: Multigraph, loci: list):
@@ -172,7 +186,8 @@ def test_complement_components_match_blow_up(seed):
     rng = random.Random(seed)
     names = ["a", "b", "c", "d"] + rng.sample(_CLASHING, rng.randint(0, 3))
     vertices = rng.sample(names, rng.randint(1, min(6, len(names))))
-    edges = {f"e{k}": (rng.choice(vertices), rng.choice(vertices)) for k in range(rng.randint(0, 7))}
+    ids = [f"e{k}" for k in range(rng.randint(0, 7))] + rng.sample(_CLASHING_EDGES, rng.randint(0, 2))
+    edges = {e: (rng.choice(vertices), rng.choice(vertices)) for e in ids}
     g = Multigraph(vertices, edges)
     loci = []
     for _ in range(rng.randint(1, 4)):
@@ -235,13 +250,29 @@ def test_cut_counts_match_vertex_deletion(make, seed):
     rng = random.Random(seed)
     g = make(rng)
     skip = rng.choice([None, *g.vertex_ids()])
-    reached, pieces = cut_counts(g, skip)
+    reached, pieces, held = cut_counts(g, skip)
+    assert held == {}  # nothing marked
     rest = _delete(g, {skip})
     comps = components(rest)
     assert reached == (len(comps[0]) if comps else 0)
     assert set(pieces) == set(rest.vertices)
     for v in rest.vertex_ids():
         assert pieces[v] == len(components(_delete(rest, {v})))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([_random_multigraph, _perturbed_two_connected]), st.integers(0, 10**6))
+def test_cut_counts_marked_match_complement(make, seed):
+    # held[v] counts the components of g - {x, v} that hold a marked vertex
+    rng = random.Random(seed)
+    g = make(rng)
+    x = rng.choice(g.vertex_ids())
+    marked = set(rng.sample(g.vertex_ids(), rng.randint(0, len(g.vertices))))
+    _, pieces, held = cut_counts(g, x, marked)
+    assert set(held) == set(pieces)
+    for v in held:
+        root = _complement(g, [Vertex(x), Vertex(v)])[0]
+        assert held[v] == len({root[w] for w in marked - {x, v}})
 
 
 def test_loop_breaks_two_connectivity():

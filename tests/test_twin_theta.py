@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from generators import random_theta_sum, random_two_connected
-from oracles import inner_census_by_blow_up, scan_twin
+from oracles import essential_component_data, inner_census_by_blow_up, peel_by_scan, scan_twin
 from tog.multigraph import (
     Interior,
     Multigraph,
@@ -21,8 +21,8 @@ from tog.twin_theta import (
     IsCircle,
     NotTwinGraph,
     ThetaSumTree,
-    _edge_into,
-    _essential_component_data,
+    _exit,
+    _peel,
     _twin_pairs,
     essential_twin,
     essential_vertices,
@@ -123,44 +123,62 @@ def test_split_removes_only_its_twin_pair(seed):
         assert essential_twin_pairs(after) == pairs
 
 
-def _twin_or_error(find, g: Multigraph, x: str):
+def _twin_or_error(find, g: Multigraph, *x: str):
     try:
-        return find(g, x)
+        return find(g, *x)
     except SurgeryError as ex:
         return str(ex)
+
+
+def _scan_twin_graph(g: Multigraph) -> bool:
+    return all(scan_twin(g, x) is not None for x in essential_vertices(g))
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.booleans(), st.integers(0, 10**6))
 def test_essential_twin_matches_blow_up_scan(theta_sum, seed):
+    # is_twin_graph searches no twin for a vertex already found as one; that
+    # holds because an essential vertex of a 2-connected graph has one twin
     rng = random.Random(seed)
     g = random_theta_sum(rng)[0] if theta_sum else random_two_connected(rng)
     for x in g.vertex_ids():
         if g.degree(x) >= 3:
             assert _twin_or_error(essential_twin, g, x) == _twin_or_error(scan_twin, g, x)
+    assert _twin_or_error(is_twin_graph, g) == _twin_or_error(_scan_twin_graph, g)
 
 
-def _kernel_census(g: Multigraph, x: str, y: str):
-    root, ess = _essential_component_data(g, x, y, essential_vertices(g))
-    if len(ess) != 1:
-        return len(ess) <= 1, None
-    (target,) = ess
-
-    def entry(vx: str):
-        try:
-            return _edge_into(g, root, target, vx)
-        except SurgeryError:
-            return None
-
-    return True, (entry(x), entry(y))
+def _census(g: Multigraph, x: str, y: str) -> int:
+    return len(essential_component_data(g, x, y)[1])
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(2, 32), st.integers(0, 10**6))
 def test_inner_census_matches_blow_up(count, seed):
     g, _ = random_theta_sum(random.Random(seed), count)
-    for x, y in _twin_pairs(g):
-        assert _kernel_census(g, x, y) == inner_census_by_blow_up(g, x, y)
+    for (x, y), n in _twin_pairs(g).items():
+        assert n == _census(g, x, y)
+        entries = (_exit(g, x, y)[0], _exit(g, y, x)[0]) if n == 1 else None
+        assert (n <= 1, entries) == inner_census_by_blow_up(g, x, y)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(2, 32), st.integers(0, 10**6))
+def test_incremental_counts_match_census(count, seed):
+    # at every peel, each remaining pair's count equals a union-find census
+    # of the current graph, and the pair and cut edges equal those of the
+    # scan that runs one union-find per candidate pair
+    g, _ = random_theta_sum(random.Random(seed), count)
+    counts = _twin_pairs(g)
+    current, step = g, 0
+    while True:
+        assert counts == {(x, y): _census(current, x, y) for x, y in counts}
+        pair, entries = peel_by_scan(current, list(counts))
+        _, rec, current = _peel(current, counts, step)
+        if rec is None:
+            assert entries is None and len(counts) == 0
+            return
+        assert (rec.pair, rec.cut_edges) == (pair, entries)
+        step += 1
 
 
 def test_essential_twin_requires_essential_vertex():
