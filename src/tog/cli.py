@@ -1,17 +1,13 @@
 """Command-line surface: stable JSON/DOT formats over the library modules.
 
-All JSON output is canonical (sorted keys, two-space indent) and versioned
-with a "schema": "tog/1" field, so identical inputs and configuration yield
-byte-identical artifacts. Every subcommand but ``rcs expand`` writes it
-through one canonical encoder, ``_canonical``, whose bytes equal
-``json.dumps(obj, sort_keys=True, indent=2)``; the property test
-``tests/test_cli.py::test_canonical_matches_json_dumps`` guards this.
-``rcs expand`` streams its artifact through
-``PartialUnion.write_canonical``, which writes no document and whose bytes
-the property test ``tests/test_rcs.py::test_write_canonical_matches_canonical_dict``
-holds equal to ``_canonical(pu.to_json_dict())``. Exit codes: 0 success,
-1 validation failure (with a machine-readable violation list on stdout),
-2 resource cap exceeded.
+All JSON output is canonical, the text of ``json.dumps(obj, sort_keys=True,
+indent=2)`` and a newline, and versioned with a "schema": "tog/1" field, so
+identical inputs and configuration yield byte-identical artifacts.
+``_emit_json`` writes every document but the ``rcs expand`` artifact, which
+``PartialUnion.write_canonical`` streams in the same layout without building
+it whole. ``schemas/tog-1.json`` describes the structure of every output.
+Exit codes: 0 success, 1 validation failure (with a machine-readable
+violation list on stdout), 2 resource cap exceeded.
 """
 
 from __future__ import annotations
@@ -21,10 +17,9 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Optional
 
-from .multigraph import Multigraph, SurgeryError, components, is_two_connected
+from .multigraph import Multigraph, SurgeryError, components, dot_quote, is_two_connected
 # each subcommand imports the other tog modules it runs, so a process loads only those
 
 
@@ -64,53 +59,8 @@ def _load_json(path: str) -> dict:
     return data
 
 
-_INF = float("inf")
-
-
-def _canonical(obj, nl: str = "\n") -> str:
-    """``json.dumps(obj, sort_keys=True, indent=2)`` for JSON values with str keys.
-
-    With ``indent`` set, ``json`` runs its pure-Python generator encoder; this
-    makes one call per container and encodes strings in C, inline, so a list
-    of strings costs one join. ``nl`` is the newline plus the current indent.
-    """
-    t = type(obj)
-    if t is str:
-        return _encode_str(obj)
-    if t is dict:
-        if not obj:
-            return "{}"
-        inner = nl + "  "
-        body = ("," + inner).join([
-            _encode_str(k) + ": " + (_encode_str(v) if type(v) is str else _canonical(v, inner))
-            for k, v in sorted(obj.items())
-        ])
-        return "{" + inner + body + nl + "}"
-    if t is list or t is tuple:
-        if not obj:
-            return "[]"
-        inner = nl + "  "
-        body = ("," + inner).join(
-            [_encode_str(x) if type(x) is str else _canonical(x, inner) for x in obj]
-        )
-        return "[" + inner + body + nl + "]"
-    if obj is None:
-        return "null"
-    if t is bool:
-        return "true" if obj else "false"
-    if t is int:
-        return int.__repr__(obj)
-    if t is float:
-        if obj != obj:
-            return "NaN"
-        if obj == _INF or obj == -_INF:
-            return "Infinity" if obj > 0 else "-Infinity"
-        return float.__repr__(obj)
-    raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
-
-
 def _emit_json(obj) -> None:
-    sys.stdout.write(_canonical(obj) + "\n")
+    sys.stdout.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
 def _parse_fraction(s: str) -> Fraction:
@@ -181,7 +131,7 @@ def _cmd_whitehead(args) -> int:
         vsys = ww.whitehead_v_involution(W)
         labels_out = {e: W.edge_labels[e] for e in W.graph.edge_ids()}
     if args.emit == "dot":
-        edge_attrs = {e: f'label="{e}:{lab}"' for e, lab in W.edge_labels.items()}
+        edge_attrs = {e: f"label={dot_quote(f'{e}:{lab}')}" for e, lab in W.edge_labels.items()}
         print(W.graph.to_dot(edge_attrs=edge_attrs))
         return 0
     _emit_json(
@@ -230,9 +180,12 @@ def _cmd_rcs(args) -> int:
 def _expansion_dot(pu) -> str:
     prov_v, prov_e = pu.provenance()
     vertex_attrs = {v: 'kind="surgery"' for v in pu.vertices}
-    vertex_attrs.update((v, f'node="{n}", cell="{c}"') for v, (n, c) in prov_v.items())
+    vertex_attrs.update(
+        (v, f"node={dot_quote(n)}, cell={dot_quote(c)}") for v, (n, c) in prov_v.items()
+    )
     edge_attrs = {
-        e: f'label="{e}", node="{n}", cell="{c}", interval="{lo}:{hi}"'
+        e: f"label={dot_quote(e)}, node={dot_quote(n)}, cell={dot_quote(c)}, "
+        f"interval={dot_quote(f'{lo}:{hi}')}"
         for e, (n, c, lo, hi) in prov_e.items()
     }
     return pu.graph.to_dot("expansion", vertex_attrs, edge_attrs)
@@ -256,6 +209,8 @@ def _cmd_rcs_expand(args, cfg: Config) -> int:
 def _cmd_rcs_analyze(args, cfg: Config) -> int:
     from . import rcs as _rcs
 
+    if args.pair_position is not None and not args.pair_cell:
+        raise _Failure(1, ["MalformedInput: --pair-position needs --pair-cell"])
     sys_ = _decode(_rcs.GraphicalConnectingSystem.from_json_dict, args.input)
     # expansion is level-synchronous, so each depth extends the previous one
     pus = [_rcs.init(sys_, cfg.root, cfg.resolution, cfg.cap)]
@@ -354,23 +309,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+_COMMANDS = {
+    "graph": _cmd_graph,
+    "twin-decompose": _cmd_twin_decompose,
+    "whitehead": _cmd_whitehead,
+    "vsystem": _cmd_vsystem,
+    "rcs": _cmd_rcs,
+    "jsj": _cmd_jsj_synth,
+}
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "graph":
-            return _cmd_graph(args)
-        if args.command == "twin-decompose":
-            return _cmd_twin_decompose(args)
-        if args.command == "whitehead":
-            return _cmd_whitehead(args)
-        if args.command == "vsystem":
-            return _cmd_vsystem(args)
-        if args.command == "rcs":
-            return _cmd_rcs(args)
-        if args.command == "jsj":
-            return _cmd_jsj_synth(args)
-        raise _Failure(1, [f"UnknownCommand: {args.command}"])
+        return _COMMANDS[args.command](args)
     except _Failure as ex:
         _emit_json({"schema": "tog/1", "violations": ex.violations})
         return ex.code

@@ -170,18 +170,25 @@ class Multigraph:
         vertex_attrs: Optional[Mapping[str, str]] = None,
         edge_attrs: Optional[Mapping[str, str]] = None,
     ) -> str:
-        """DOT text with preformatted attributes by id; edges default to label="<id>"."""
+        """DOT text with preformatted attributes by id, their values quoted by
+        dot_quote as the ids are here; an edge's default is its id as label."""
         vertex_attrs, edge_attrs = vertex_attrs or {}, edge_attrs or {}
         lines = [f"graph {name} {{"]
         for v in self.vertex_ids():
             attrs = vertex_attrs.get(v)
-            lines.append(f'  "{v}";' if attrs is None else f'  "{v}" [{attrs}];')
+            q = dot_quote(v)
+            lines.append(f"  {q};" if attrs is None else f"  {q} [{attrs}];")
         for e in self.edge_ids():
             t, h = self._edges[e]
-            attrs = edge_attrs.get(e, f'label="{e}"')
-            lines.append(f'  "{t}" -- "{h}" [{attrs}];')
+            attrs = edge_attrs.get(e, f"label={dot_quote(e)}")
+            lines.append(f"  {dot_quote(t)} -- {dot_quote(h)} [{attrs}];")
         lines.append("}")
         return "\n".join(lines)
+
+
+def dot_quote(s: str) -> str:
+    """s as a DOT quoted string: a backslash, then a double quote, escaped."""
+    return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 @dataclass

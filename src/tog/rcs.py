@@ -501,38 +501,20 @@ class PartialUnion:
         return prov_v, prov_e
 
     def to_json_dict(self) -> dict:
-        prov_v, prov_e = self.provenance()
-        tree = {}
-        for node, info in sorted(self.nodes.items()):
-            tree[node] = {
-                "parent": info.parent,
-                "depth": info.depth,
-                "component": info.component,
-                "via": None if info.via is None else info.via.to_json(),
-            }
-        return {
-            "schema": "tog/1",
-            "graph": self.graph.to_json_dict(),
-            "tree": tree,
-            "frontier": [s.to_json() for s in self.frontier],
-            "provenance": {
-                "vertices": {v: {"node": n, "cell": c} for v, (n, c) in prov_v.items()},
-                "edges": {
-                    e: {"node": n, "cell": c, "interval": [lo, hi]}
-                    for e, (n, c, lo, hi) in prov_e.items()
-                },
-            },
-        }
+        """The artifact that write_canonical writes, as JSON values."""
+        parts: list[str] = []
+        self.write_canonical(parts.append)
+        return json.loads("".join(parts))
 
     def _frontier_text(self, nodes: list[str]) -> Iterable[str]:
-        """The frontier entries of to_json_dict(), as text."""
+        """The frontier entries of the artifact, as text."""
         for node in nodes:
             d, n = self.nodes[node].depth, _enc(node)
             for _, (pre, mid, post), _ in self._unexpanded(node):
                 yield f"{pre}{d}{mid}{n}{post}"
 
     def _tree_text(self, nodes: list[str]) -> Iterable[str]:
-        """The tree members of to_json_dict(), as text."""
+        """The tree members of the artifact, as text."""
         k = "\n      "
         for node in nodes:
             info = self.nodes[node]
@@ -546,10 +528,11 @@ class PartialUnion:
                    f'{k}"parent": {parent},{k}"via": {via}\n    }}')
 
     def write_canonical(self, write: Callable[[str], object]) -> None:
-        """Write the JSON text of to_json_dict() with sorted keys and two-space
-        indent, without a trailing newline: the bytes of
-        ``tog.cli._canonical(self.to_json_dict())``, which the tests check. One
-        sorted walk writes each section in key order through _write_block."""
+        """Write the expansion artifact as JSON text with sorted keys and
+        two-space indent, without a trailing newline: the bytes of
+        ``json.dumps(expansion_dict(self), sort_keys=True, indent=2)`` for the
+        definitional ``expansion_dict`` of the tests. One sorted walk writes
+        each section in key order through _write_block."""
         vertices, edges = self.vertices, self.edges
         if not vertices.issuperset(itertools.chain.from_iterable(edges.values())):
             bad = next(e for e, ends in edges.items() if not vertices.issuperset(ends))

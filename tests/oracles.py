@@ -270,3 +270,30 @@ def frontier_by_bookkeeping(pu: PartialUnion) -> list[Site]:
         return (s.node, 1, s.edge, s.position, s.partner[0])
 
     return sorted((s for s in made if s not in vias), key=sort_key)
+
+
+def expansion_dict(pu: PartialUnion) -> dict:
+    """The expansion artifact of pu, built as a dict from the tree, the
+    frontier and provenance(); write_canonical must write its canonical text."""
+    prov_v, prov_e = pu.provenance()
+    tree = {}
+    for node, info in sorted(pu.nodes.items()):
+        tree[node] = {
+            "parent": info.parent,
+            "depth": info.depth,
+            "component": info.component,
+            "via": None if info.via is None else info.via.to_json(),
+        }
+    return {
+        "schema": "tog/1",
+        "graph": pu.graph.to_json_dict(),
+        "tree": tree,
+        "frontier": [s.to_json() for s in pu.frontier],
+        "provenance": {
+            "vertices": {v: {"node": n, "cell": c} for v, (n, c) in prov_v.items()},
+            "edges": {
+                e: {"node": n, "cell": c, "interval": [lo, hi]}
+                for e, (n, c, lo, hi) in prov_e.items()
+            },
+        },
+    }

@@ -2,8 +2,8 @@
 
 import hashlib
 import json
-import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -12,15 +12,14 @@ from pathlib import Path
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import tog
 from generators import random_theta_sum
-from tog.cli import Config, _canonical, main
+from tog.cli import Config, _emit_json, main
 from tog.jsj_frontend import golden_g2, golden_racg1, synthesize
 from tog.multigraph import (
     Interior,
+    Multigraph,
     SurgeryError,
     blow_up,
     complete_graph,
@@ -156,6 +155,49 @@ def test_rcs_validate_expand_analyze(tmp_path, capsys):
     assert [t["degree"] for t in json.loads(out)["trace"]] == [2, 2]
 
 
+# a DOT quoted string: a backslash escapes the character after it
+DOT_STRING = re.compile(r'"((?:[^"\\]|\\.)*)"')
+DOT_LINE_SHAPES = {
+    "graph g {", "graph expansion {", "}",
+    '  "";', '  "" [kind=""];', '  "" [node="", cell=""];',
+    '  "" -- "" [label=""];', '  "" -- "" [label="", node="", cell="", interval=""];',
+}
+
+
+def dot_strings(out):
+    """The unescaped quoted strings of DOT text whose lines all have a known shape."""
+    assert {DOT_STRING.sub('""', line) for line in out.splitlines()} <= DOT_LINE_SHAPES
+    return {re.sub(r"\\(.)", r"\1", x) for x in DOT_STRING.findall(out)}
+
+
+def test_dot_strings_unescape_to_input_ids(tmp_path, capsys):
+    # a quote inside an id, and a backslash that ends one
+    q, b = 'a"b', "c\\"
+    g = Multigraph([q, b], {'e"': (q, b), "f\\": (b, q), "g": (q, b)})
+    path = write_json(tmp_path, "odd.json", g.to_json_dict())
+    code, out = run(capsys, "graph", path, "--emit", "dot")
+    assert code == 0 and dot_strings(out) == g.vertices | set(g.edge_ids())
+
+    words = ["whitehead", "--rank", "2", "--words", "a,b", "--labels", 'a"b,c\\']
+    code, out = run(capsys, *words)
+    doc = json.loads(out)
+    labels = {f"{e}:{lab}" for e, lab in doc["edge_labels"].items()}
+    code, out = run(capsys, *words, "--emit", "dot")
+    assert code == 0 and dot_strings(out) == set(doc["graph"]["vertices"]) | labels
+
+    path = write_json(tmp_path, "refl.json", reflection_system(g).to_json_dict())
+    code, out = run(capsys, "rcs", "expand", path, "--depth", "1")
+    doc = json.loads(out)
+    prov = doc["provenance"]
+    ids = set(doc["graph"]["vertices"]) | set(prov["edges"]) | {"surgery"}
+    for p in prov["vertices"].values():
+        ids |= {p["node"], p["cell"]}
+    for p in prov["edges"].values():
+        ids |= {p["node"], p["cell"], ":".join(p["interval"])}
+    code, out = run(capsys, "rcs", "expand", path, "--depth", "1", "--emit", "dot")
+    assert code == 0 and dot_strings(out) == ids
+
+
 def test_jsj_synth_golden_and_file_input(tmp_path, capsys):
     code, out = run(capsys, "jsj", "synth", "--golden", "g2")
     doc = json.loads(out)
@@ -268,6 +310,9 @@ MALFORMED = {
     "rcs-reserved-name": (json.dumps(RCS_RESERVED_NAME), ["rcs", "validate", "{doc}"]),
     "analyze-vertex-position": (json.dumps(RCS_DOC), ANALYZE + ["--cell", "c0:u", "--position", "1/5"]),
     "analyze-unknown-edge": (json.dumps(RCS_DOC), ANALYZE + ["--cell", "c0:e9", "--position", "1/5"]),
+    "analyze-pair-position-alone": (
+        json.dumps(RCS_DOC), ANALYZE + ["--cell", "c0:u", "--pair-position", "1/3"]
+    ),
     "analyze-unknown-pair-edge": (
         json.dumps(RCS_DOC),
         ANALYZE + ["--cell", "c0:u", "--pair-cell", "c0:zz", "--pair-position", "1/3"],
@@ -329,36 +374,13 @@ def test_malformed_input_is_violations_document(case, tmp_path, capsys):
     assert doc["violations"] and doc["violations"][0].startswith(first)
 
 
-# -- the canonical encoder ---------------------------------------------------
-
-json_scalars = (
-    st.none()
-    | st.booleans()
-    | st.integers()
-    | st.integers(min_value=-(2**200), max_value=2**200)
-    | st.floats()
-    | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e300, 5e-324])
-    | st.text()
-    | st.sampled_from(["", "é", "\u2603", "\U0001f600", "\ud800", '"\\\n\t\x00\x7f'])
-)
-json_values = st.recursive(
-    json_scalars,
-    lambda children: st.lists(children, max_size=5)
-    | st.lists(children, max_size=5).map(tuple)
-    | st.dictionaries(st.text(max_size=5), children, max_size=5),
-    max_leaves=25,
-)
+# -- the JSON encoder ---------------------------------------------------------
 
 
-@settings(max_examples=300, deadline=None)
-@given(json_values)
-def test_canonical_matches_json_dumps(x):
-    assert _canonical(x) == json.dumps(x, sort_keys=True, indent=2)
-
-
-def test_canonical_rejects_non_json():
+def test_canonical_rejects_non_json(capsys):
     with pytest.raises(TypeError):
-        _canonical({"a": Fraction(1, 2)})
+        _emit_json({"a": Fraction(1, 2)})
+    assert capsys.readouterr().out == ""
 
 
 # sha256 of `tog rcs expand` stdout, taken from the json.dumps emitter; the
@@ -457,7 +479,8 @@ def test_cap_exceeded_expand_prints_one_violations_document(cap, tmp_path, capsy
     out, err = capsys.readouterr()
     violation = f"ResourceCapExceeded: copy cap of {cap} component copies exceeded"
     assert code == 2 and err == ""
-    assert out == _canonical({"schema": "tog/1", "violations": [violation]}) + "\n"
+    doc = {"schema": "tog/1", "violations": [violation]}
+    assert out == json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 def test_expand_and_analyze_report_violations_like_validate(tmp_path, capsys):
@@ -480,33 +503,41 @@ def test_cli_subdocuments_match_schema(tmp_path, capsys):
         # the root schema constrains nothing itself; validate against one $def
         jsonschema.validate(doc, dict(root, **{"$ref": f"#/$defs/{defn}"}))
 
+    def output(defn, *argv, code=0):
+        """The whole stdout of one command, checked against one $def."""
+        got, out = run(capsys, *argv)
+        assert got == code
+        doc = json.loads(out)
+        check(defn, doc)
+        return doc
+
     k4 = write_json(tmp_path, "k4.json", complete_graph(4).to_json_dict())
-    code, out = run(capsys, "graph", k4)
-    assert code == 0
-    check("graph", json.loads(out)["graph"])
+    output("graphReport", "graph", k4)
+    output("violations", "twin-decompose", k4, code=1)
+
+    g, _ = random_theta_sum(random.Random(12), count=4)
+    twin = write_json(tmp_path, "sum.json", g.to_json_dict())
+    assert output("thetaSumTree", "twin-decompose", twin)["record"]
 
     for extra in ([], ["--multiplicities", "2,3,2"]):
-        code, out = run(
-            capsys, "whitehead", "--rank", "2", "--words", "a,b,abAB", "--labels", "a,b,c", *extra
-        )
-        doc = json.loads(out)
-        assert code == 0
-        check("graph", doc["graph"])
-        check("vsystem", doc["vsystem"])
+        argv = ["whitehead", "--rank", "2", "--words", "a,b,abAB", "--labels", "a,b,c", *extra]
+        output("whitehead", *argv)
+
+    vsys = write_json(tmp_path, "vs.json", VSYSTEM_DOC)
+    output("linesReport", "vsystem", vsys)
 
     refl = write_json(tmp_path, "refl.json", reflection_system(theta_graph(3)).to_json_dict())
-    code, out = run(capsys, "rcs", "expand", refl, "--depth", "2")
-    assert code == 0
-    expansion = json.loads(out)
-    check("expansion", expansion)
+    output("violations", "rcs", "validate", refl)
+    expansion = output("expansion", "rcs", "expand", refl, "--depth", "2")
     nodeless = {k: v for k, v in expansion["frontier"][0].items() if k != "node"}
     with pytest.raises(jsonschema.ValidationError):
         check("expansion", dict(expansion, frontier=[nodeless]))
+    analyze = ["rcs", "analyze", refl, "--depth", "2"]
+    output("analyzeTrace", *analyze, "--cell", "c0:u", "--pair-cell", "c0:w")
+    output("analyzeTrace", *analyze, "--cell", "c0:e1", "--position", "1/5")
 
     for golden in ("g2", "racg1"):
-        code, out = run(capsys, "jsj", "synth", "--golden", golden)
-        assert code == 0
-        check("connectingSystem", json.loads(out)["system"])
+        output("jsjSynth", "jsj", "synth", "--golden", golden)
 
     with pytest.raises(jsonschema.ValidationError):
         check("graph", GRAPH_STR_VERTICES)

@@ -1,7 +1,5 @@
 """Tests for JSJ ingestion, synthesis, blocks, and packets."""
 
-import warnings
-
 import pytest
 
 from tog.jsj_frontend import (
