@@ -7,13 +7,15 @@ identical inputs and configuration yield byte-identical artifacts.
 ``PartialUnion.write_canonical`` streams in the same layout without building
 it whole. ``schemas/tog-1.json`` describes the structure of every output.
 Exit codes: 0 success, 1 validation failure (with a machine-readable
-violation list on stdout), 2 resource cap exceeded.
+violation list on stdout), 2 resource cap exceeded, 141 (128 + SIGPIPE)
+stdout closed by its reader before the output was written.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -323,13 +325,20 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
-    except _Failure as ex:
-        _emit_json({"schema": "tog/1", "violations": ex.violations})
-        return ex.code
-    except SurgeryError as ex:
-        _emit_json({"schema": "tog/1", "violations": [f"{type(ex).__name__}: {ex}"]})
-        return 1
+        try:
+            code = _COMMANDS[args.command](args)
+        except _Failure as ex:
+            _emit_json({"schema": "tog/1", "violations": ex.violations})
+            code = ex.code
+        except SurgeryError as ex:
+            _emit_json({"schema": "tog/1", "violations": [f"{type(ex).__name__}: {ex}"]})
+            code = 1
+        sys.stdout.flush()  # a reader that is gone raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # send what is still buffered to devnull, so the flush at exit cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

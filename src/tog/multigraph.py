@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import chain
 from typing import Iterable, Mapping, Optional
 
 
@@ -531,33 +531,24 @@ def complement_components(
     return len(index), {d: index[k] for d, k in reach.items()}
 
 
-def cut_counts(
-    g: Multigraph, skip: Optional[str] = None, marked: Optional[set[str]] = None
-) -> tuple[int, dict[str, int], dict[str, int]]:
+def cut_counts(g: Multigraph, skip: Optional[str] = None) -> tuple[int, dict[str, int]]:
     """Cut-vertex census of g minus the vertex skip, by one lowpoint DFS.
 
-    Returns (reached, pieces, held): reached is the number of vertices the
-    search from the least vertex reaches, and pieces[v] is the number of
-    components of (g - skip) - v, for every other vertex v (Hopcroft-Tarjan
-    1973). Loops are ignored; parallel edges are told apart by edge id, so
-    only the tree edge itself leads back to a vertex's parent. Given marked
-    vertices, held[v] counts the pieces holding one other than v: a separated
-    DFS child's subtree, the parent's piece (the rest of v's search tree), or
-    another search tree.
+    Returns (reached, pieces): reached is the number of vertices the search
+    from the least vertex reaches, and pieces[v] is the number of components
+    of (g - skip) - v, for every other vertex v (Hopcroft-Tarjan 1973). Loops
+    are ignored; parallel edges are told apart by edge id, so only the tree
+    edge itself leads back to a vertex's parent.
     """
     links, ends_of = g._incidence(), g._edges
     disc: dict[str, int] = {}
     low: dict[str, int] = {}
     pieces: dict[str, int] = {}
-    # marked vertices under v's children, and under those cut off from its parent
-    below, apart, held = {}, {}, {}
-    reached = searches = busy = 0
-    track = marked is not None
+    reached = searches = 0
     for root in g.vertex_ids():
         if root == skip or root in disc:
             continue
         searches += 1
-        first = len(disc)
         disc[root] = low[root] = len(disc)
         pieces[root] = 0  # the root splits into one piece per DFS child
         stack = [(root, None, iter(links[root]))]
@@ -579,24 +570,11 @@ def cut_counts(
                 if stack:
                     u = stack[-1][0]
                     low[u] = min(low[u], low[v])
-                    if track:
-                        n = below.get(v, 0) + (v in marked)
-                        below[u] = below.get(u, 0) + n
                     if low[v] >= disc[u]:
                         pieces[u] += 1
-                        if track:
-                            apart[u] = apart.get(u, 0) + n
-                            held[u] = held.get(u, 0) + (n > 0)
         if searches == 1:
             reached = len(disc)
-        if track:
-            total = below.get(root, 0) + (root in marked)
-            busy += total > 0
-            for v in islice(disc, first, None):
-                rest = v != root and total - (v in marked) - apart.get(v, 0) > 0
-                held[v] = held.get(v, 0) + rest - (total > 0)
-    held = {v: n + busy for v, n in held.items()}
-    return reached, {v: n + searches - 1 for v, n in pieces.items()}, held
+    return reached, {v: n + searches - 1 for v, n in pieces.items()}
 
 
 def is_two_connected(g: Multigraph) -> bool:
@@ -612,7 +590,7 @@ def is_two_connected(g: Multigraph) -> bool:
         return False
     if any(v == w for v, w in g._edges.values()):
         return False  # the loop's vertex is a cutpoint
-    reached, pieces, _ = cut_counts(g)
+    reached, pieces = cut_counts(g)
     return reached == len(g.vertices) and max(pieces.values()) == 1 and len(g._edges) > 1
 
 

@@ -269,7 +269,7 @@ _BATCH = 1024  # the most items _write_block joins into one write
 
 def _write_block(write: Callable[[str], object], brackets: str, items: Iterable[str], nl: str) -> None:
     """Write a JSON array ("[]") or object ("{}") of already-encoded items or
-    members, _BATCH of them per write, so that no block is held whole."""
+    members, _BATCH of them per write, so that no block is kept in memory whole."""
     items, sep = iter(items), "," + nl + "  "
     lead, batch = brackets[0] + nl + "  ", list(itertools.islice(items, _BATCH))
     while batch:

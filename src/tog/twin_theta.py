@@ -8,13 +8,15 @@ recovers the summand sizes by repeatedly splitting off a theta summand at an
 essential twin pair whose complement has at most one component containing
 essential vertices.
 
-The essential twin pairs are found once, each with its count of complement
-components that hold an essential vertex, by the lowpoint DFS that finds it.
-A split at {x, y} cuts off a connected piece whose only essential vertices are
-x and y; it meets the remainder only at two cut points, which a join edge then
-connects. So the remainder's twin pairs are the old ones minus {x, y}, and
-only one count drops: that of the pair {a, b} where the arcs out of the piece
-end, which loses the component that held just x and y. Only the split blows up.
+The essential twin pairs are found once, each by one lowpoint DFS. Each of
+the d components of the complement of twins {x, y} of degree d takes one of
+the d edge-ends at x, and it holds no essential vertex iff it is an arc from
+x to y through degree-2 vertices. So at most one component holds an
+essential vertex iff at most one arc out of x does not end at y, and a peel
+is chosen by walking arcs. A split at {x, y} cuts off a connected piece whose
+only essential vertices are x and y; it meets the remainder only at two cut
+points, which a join edge then connects. So the remainder's twin pairs are
+the old ones minus {x, y}. Only the split blows up.
 """
 
 from __future__ import annotations
@@ -78,54 +80,50 @@ def essential_twin(g: Multigraph, x: str) -> Optional[str]:
         raise SurgeryError("twin analysis requires a 2-connected graph")
     if g.degree(x) < 3:
         raise SurgeryError("essential_twin requires a vertex of degree >= 3")
-    return _twin_of(g, x, set(essential_vertices(g)))[0]
+    return _twin_of(g, x)
 
 
-def _twin_of(g: Multigraph, x: str, essential: set[str]) -> tuple[Optional[str], int]:
-    """The twin y of an essential vertex x of a 2-connected graph g, and how
-    many components of the complement of {x, y} hold an essential vertex.
+def _twin_of(g: Multigraph, x: str) -> Optional[str]:
+    """The twin y of an essential vertex x of a 2-connected graph g, if any.
 
     The twin of a vertex of degree >= 3 must itself be a vertex y of the same
     degree. The complement of {x, y} is (g - x) - y, counted by one cut-point
-    census of g - x, plus one open arc per edge between x and y; the arcs
-    hold no vertex, so the census also counts the essential components.
+    census of g - x, plus one open arc per edge between x and y.
     """
     links = g._incidence()
     d = len(links[x])
-    _, pieces, held = cut_counts(g, x, essential)
+    _, pieces = cut_counts(g, x)
     arcs = Counter(g.ends(e)[1 - i] for e, i in links[x])
     found = sorted(y for y, n in pieces.items() if len(links[y]) == d and n + arcs[y] == d)
     if len(found) > 1:
         raise SurgeryError(f"vertex {x!r} has more than one twin: {found}")
-    return (found[0], held[found[0]]) if found else (None, 0)
+    return found[0] if found else None
 
 
 def essential_vertices(g: Multigraph) -> list[str]:
     return [v for v in g.vertex_ids() if g.degree(v) != 2]
 
 
-def _twin_pairs(g: Multigraph) -> Optional[dict[tuple[str, str], int]]:
+def _twin_pairs(g: Multigraph) -> Optional[list[tuple[str, str]]]:
     """The essential twin pairs (x < y) of a 2-connected graph g, in sorted
-    order, each with the number of components of its complement that hold an
-    essential vertex; None if some essential vertex has no twin.
+    order; None if some essential vertex has no twin.
 
     An essential vertex has at most one twin: each complement component takes
     one of the d edge-ends at x, so if y were also the twin of some z != x,
     the component of g - {y, z} holding x would take d - 1 >= 2 ends at y.
     So the twin of a vertex needs no search of its own.
     """
-    essential = {v for v, ends in g._incidence().items() if len(ends) != 2}
-    counts: dict[tuple[str, str], int] = {}
+    pairs: list[tuple[str, str]] = []
     paired: set[str] = set()
-    for x in sorted(essential):
+    for x in essential_vertices(g):
         if x in paired:
             continue
-        y, held = _twin_of(g, x, essential)
+        y = _twin_of(g, x)
         if y is None:
             return None
         paired.add(y)
-        counts[x, y] = held  # y > x, or x would have been paired already
-    return counts
+        pairs.append((x, y))  # y > x, or x would have been paired already
+    return pairs
 
 
 def is_twin_graph(g: Multigraph) -> bool:
@@ -188,9 +186,8 @@ class ThetaSumTree:
         }
 
 
-def _exit(g: Multigraph, x: str, y: str) -> tuple[str, str]:
-    """The one edge at x whose arc through degree-2 vertices does not end at
-    y, and the essential vertex where that arc ends."""
+def _exits(g: Multigraph, x: str, y: str) -> list[str]:
+    """The edges at x whose arcs through degree-2 vertices do not end at y."""
     exits = []
     for e, i in g.link(x):
         f, w = e, g.ends(e)[1 - i]
@@ -198,10 +195,8 @@ def _exit(g: Multigraph, x: str, y: str) -> tuple[str, str]:
             f, j = next((h, j) for h, j in g.link(w) if h != f)
             w = g.ends(f)[1 - j]
         if w != y:
-            exits.append((e, w))
-    if len(exits) != 1:
-        raise SurgeryError("essential component not attached by a single edge")
-    return exits[0]
+            exits.append(e)
+    return exits
 
 
 def _unsplit(rec: SplitRecord, cpiece: Multigraph) -> Multigraph:
@@ -223,20 +218,29 @@ def _unsplit(rec: SplitRecord, cpiece: Multigraph) -> Multigraph:
     return Multigraph(vertices, edges)
 
 
-def _peel(g: Multigraph, counts: dict[tuple[str, str], int], step: int):
-    """Split off the theta summand at the first pair of counts with at most one
-    essential complement component: its size, its split record (None when g is
-    that theta) and the remainder. counts is updated to the remainder's: the
-    pair leaves, and the pair {a, b} ending the arcs out of x and y loses the
-    complement component whose only essential vertices were x and y."""
-    x, y = next((p for p, n in counts.items() if n <= 1), (None, None))
-    if x is None:
+def _peel(g: Multigraph, pairs: list[tuple[str, str]], step: int):
+    """Split off the theta summand at the first of the twin pairs with at most
+    one essential complement component, which is dropped from pairs: its
+    size, its split record (None when g is that theta) and the remainder."""
+    for n, (x, y) in enumerate(pairs):
+        x_exits = _exits(g, x, y)
+        if len(x_exits) <= 1:
+            break
+    else:
         raise SurgeryError("no essential twin pair with an inner component (not a twin graph?)")
+    del pairs[n]
     k = g.degree(x)
-    if counts.pop((x, y)) == 0:
+    if not x_exits:
         return k, None, g
     # the edges at x and y leading into the essential component
-    (e_x, a), (e_y, b) = _exit(g, x, y), _exit(g, y, x)
+    y_exits = _exits(g, y, x)
+    if len(y_exits) != 1:
+        raise SurgeryError("essential component not attached by a single edge")
+    (e_x,), (e_y,) = x_exits, y_exits
+    tjoin, cjoin = f"tj{step}", f"cj{step}"
+    for e in (tjoin, cjoin):
+        if e in g._edges:
+            raise SurgeryError(f"id collision for edge {e!r}")
     half = Fraction(1, 2)
     rs = blow_up(g, [Interior(e_x, half), Interior(e_y, half)])
     scomps = components(rs.graph)
@@ -245,40 +249,35 @@ def _peel(g: Multigraph, counts: dict[tuple[str, str], int], step: int):
     if len(scomps) != 2:
         raise SurgeryError("cutting the two arcs did not split the graph in two")
 
-    tjoin, cjoin = f"tj{step}", f"cj{step}"
     tverts = {v for v in rs.graph.vertices if swhere[v] == theta_side}
     cverts = set(rs.graph.vertices) - tverts
     tedges = {e: ends for e, ends in rs.graph.edges.items() if ends[0] in tverts}
     cedges = {e: ends for e, ends in rs.graph.edges.items() if ends[0] in cverts}
 
-    pairs = {}  # per cut edge, its (theta-side, remainder-side) divisors
+    divisor_pairs = {}  # per cut edge, its (theta-side, remainder-side) divisors
     for e in (e_x, e_y):
         side = {desc[1]: d for d, desc in rs.divisors[Interior(e, half)].items()}
         t, h = side["tail"], side["head"]
-        pairs[e] = (t, h) if t in tverts else (h, t)
-    (tx, cx), (ty, cy) = pairs[e_x], pairs[e_y]
+        divisor_pairs[e] = (t, h) if t in tverts else (h, t)
+    (tx, cx), (ty, cy) = divisor_pairs[e_x], divisor_pairs[e_y]
     tedges[tjoin] = (tx, ty)
     cedges[cjoin] = (cx, cy)
     tpiece = Multigraph(tverts, tedges)
     cpiece = Multigraph(cverts, cedges)
-
-    ab = (min(a, b), max(a, b))
-    if ab in counts:
-        counts[ab] -= 1
-    return k, SplitRecord(k, (x, y), (e_x, e_y), tpiece, tjoin, cjoin, pairs), cpiece
+    return k, SplitRecord(k, (x, y), (e_x, e_y), tpiece, tjoin, cjoin, divisor_pairs), cpiece
 
 
 def theta_sum_decomposition(g: Multigraph) -> ThetaSumTree:
     """Decompose a twin graph (not a circle) into thick theta summand sizes."""
-    counts = _twin_pairs(g) if is_two_connected(g) else None
-    if counts is None:
+    pairs = _twin_pairs(g) if is_two_connected(g) else None
+    if pairs is None:
         raise NotTwinGraph("input is not a twin graph")
     if not essential_vertices(g):
         raise IsCircle("input is homeomorphic to the circle")
 
     summands, records, current = [], [], g
     while True:
-        k, rec, current = _peel(current, counts, len(records))
+        k, rec, current = _peel(current, pairs, len(records))
         summands.append(k)
         if rec is None:
             return ThetaSumTree(summands, records, current)

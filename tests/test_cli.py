@@ -93,6 +93,19 @@ def test_twin_decompose(tmp_path, capsys):
     assert code == 1 and "NotTwinGraph" in json.loads(out)["violations"][0]
 
 
+@pytest.mark.parametrize("join", ["cj0", "tj0", "cj1"])
+def test_twin_decompose_reports_join_id_collision(join, tmp_path, capsys):
+    # summands [3, 4, 5]; with R:t2e1 renamed to a join id the first or second
+    # peel would overwrite it, and replay() would differ from the input
+    g, _ = random_theta_sum(random.Random(1), 3)
+    edges = g.edges
+    edges[join] = edges.pop("R:t2e1")
+    path = write_json(tmp_path, "sum.json", Multigraph(g.vertices, edges).to_json_dict())
+    code, out = run(capsys, "twin-decompose", path)
+    violation = f"SurgeryError: id collision for edge {join!r}"
+    assert (code, json.loads(out)["violations"]) == (1, [violation])
+
+
 def test_whitehead_json_and_dot(capsys):
     code, out = run(
         capsys, "whitehead", "--rank", "2", "--words", "a,b,abAB", "--labels", "a,b,c"
@@ -470,6 +483,36 @@ def test_import_cli_leaves_networkx_unloaded(tmp_path):
         [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "argv, lines",
+    [
+        # a reader that stops after one line, as `| head -1` does, long before the
+        # 1.5 MB (json) or 0.4 MB (dot) of the depth-3 expansion are written
+        (["rcs", "expand", "{refl}", "--depth", "3"], 1),
+        (["rcs", "expand", "{refl}", "--depth", "3", "--emit", "dot"], 1),
+        # a reader gone before any write: the small buffered document fails to flush
+        (["graph", "{refl}"], 0),
+    ],
+    ids=["expand-json", "expand-dot", "graph-violations"],
+)
+def test_closed_stdout_exits_141_quietly(argv, lines, tmp_path):
+    refl = write_json(tmp_path, "refl.json", RCS_DOC)
+    argv = [a.format(refl=refl) for a in argv]
+    env = dict(os.environ, PYTHONPATH=str(Path(tog.__file__).resolve().parent.parent))
+    env.pop("PYTHONUNBUFFERED", None)  # stdout block-buffered, as in a shell
+    with subprocess.Popen(
+        [sys.executable, "-m", "tog.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    ) as proc:
+        for _ in range(lines):
+            assert proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert (proc.returncode, err) == (141, b"")
 
 
 @pytest.mark.parametrize("cap", [5, 20, 100])  # exceeded at depth 0, 1 and 2

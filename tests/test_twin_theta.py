@@ -1,14 +1,19 @@
 """Tests for twin pairs and the theta-sum decomposition."""
 
 import random
+import signal
+import warnings
+from contextlib import contextmanager
+from datetime import timedelta
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from generators import random_theta_sum, random_two_connected
-from oracles import essential_component_data, inner_census_by_blow_up, peel_by_scan, scan_twin
+from oracles import inner_census_by_blow_up, peel_by_scan, scan_twin
+from tog.jsj_frontend import golden_racg1, synthesize
 from tog.multigraph import (
     Interior,
     Multigraph,
@@ -17,11 +22,12 @@ from tog.multigraph import (
     complete_graph,
     theta_graph,
 )
+from tog.rcs import expand_to_depth, init, reflection_system
 from tog.twin_theta import (
     IsCircle,
     NotTwinGraph,
     ThetaSumTree,
-    _exit,
+    _exits,
     _peel,
     _twin_pairs,
     essential_twin,
@@ -147,38 +153,113 @@ def test_essential_twin_matches_blow_up_scan(theta_sum, seed):
     assert _twin_or_error(is_twin_graph, g) == _twin_or_error(_scan_twin_graph, g)
 
 
-def _census(g: Multigraph, x: str, y: str) -> int:
-    return len(essential_component_data(g, x, y)[1])
+@settings(max_examples=25, deadline=None)
+@given(st.integers(2, 32), st.integers(0, 10**6))
+def test_arc_test_matches_blow_up_census(count, seed):
+    # at most one complement component of twins {x, y} holds an essential
+    # vertex iff at most one arc out of x does not end at y
+    g, _ = random_theta_sum(random.Random(seed), count)
+    for x, y in _twin_pairs(g):
+        exits = _exits(g, x, y)
+        entries = (exits[0], *_exits(g, y, x)) if len(exits) == 1 else None
+        assert (len(exits) <= 1, entries) == inner_census_by_blow_up(g, x, y)
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(2, 32), st.integers(0, 10**6))
-def test_inner_census_matches_blow_up(count, seed):
+def test_peel_matches_scan(count, seed):
+    # at every peel, the pair and cut edges equal those of the scan that
+    # runs one union-find per candidate pair
     g, _ = random_theta_sum(random.Random(seed), count)
-    for (x, y), n in _twin_pairs(g).items():
-        assert n == _census(g, x, y)
-        entries = (_exit(g, x, y)[0], _exit(g, y, x)[0]) if n == 1 else None
-        assert (n <= 1, entries) == inner_census_by_blow_up(g, x, y)
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.integers(2, 32), st.integers(0, 10**6))
-def test_incremental_counts_match_census(count, seed):
-    # at every peel, each remaining pair's count equals a union-find census
-    # of the current graph, and the pair and cut edges equal those of the
-    # scan that runs one union-find per candidate pair
-    g, _ = random_theta_sum(random.Random(seed), count)
-    counts = _twin_pairs(g)
+    pairs = _twin_pairs(g)
     current, step = g, 0
     while True:
-        assert counts == {(x, y): _census(current, x, y) for x, y in counts}
-        pair, entries = peel_by_scan(current, list(counts))
-        _, rec, current = _peel(current, counts, step)
+        pair, entries = peel_by_scan(current, list(pairs))
+        _, rec, current = _peel(current, pairs, step)
         if rec is None:
-            assert entries is None and len(counts) == 0
+            assert entries is None and pairs == []
             return
         assert (rec.pair, rec.cut_edges) == (pair, entries)
         step += 1
+
+
+@contextmanager
+def time_limit(seconds: float):
+    """Raise TimeoutError in the body once seconds have passed, so a hang fails."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
+# the ids a peel or its blow-up makes: join edges, arc halves and divisors
+DERIVED_IDS = [
+    lambda n, e: f"cj{n}",
+    lambda n, e: f"tj{n}",
+    lambda n, e: f"{e}.a0",
+    lambda n, e: f"{e}@1_2t",
+]
+
+
+@settings(max_examples=60, deadline=timedelta(seconds=2))
+@given(st.integers(2, 8), st.integers(0, 10**6), st.sampled_from(DERIVED_IDS), st.data())
+def test_renamed_edge_decomposes_or_reports_collision(count, seed, derived, data):
+    g, sizes = random_theta_sum(random.Random(seed), count)
+    ids = g.edge_ids()
+    old = data.draw(st.sampled_from(ids))
+    new = derived(data.draw(st.integers(0, count - 2)), data.draw(st.sampled_from(ids)))
+    assume(new not in ids)
+    edges = g.edges
+    edges[new] = edges.pop(old)
+    renamed = Multigraph(g.vertices, edges)
+    try:
+        with time_limit(5):
+            tree = theta_sum_decomposition(renamed)
+    except SurgeryError as ex:
+        assert "id collision" in str(ex)
+    else:
+        assert sorted(tree.summands) == sizes
+        assert tree.replay() == renamed
+
+
+def expansion_summands(pu) -> list[int]:
+    """The summand sizes of an expansion read off its tree: the edge count of
+    the component of the root and of each E-glued copy. A V-gluing of two
+    theta graphs at a vertex is again that theta graph, so it adds none."""
+    return sorted(
+        len(pu.rcs.component_cells(info.component)[1])
+        for info in pu.nodes.values()
+        if info.via is None or info.via.kind == "E"
+    )
+
+
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore")  # synthesize warns of omitted sharp orientations
+    RACG1 = synthesize(golden_racg1())[0]
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")  # resolution below partner count
+@pytest.mark.parametrize(
+    "system, root",
+    [(reflection_system(theta_graph(k)), 0) for k in (3, 4, 5)]
+    + [(RACG1, root) for root in range(3)],
+    ids=["theta3", "theta4", "theta5", "racg1-0", "racg1-1", "racg1-2"],
+)
+@pytest.mark.parametrize("r", [1, 2])
+def test_expansion_decomposes_into_its_copies(system, root, r):
+    pu = init(system, root, r)
+    for depth in range(3):
+        pu = expand_to_depth(pu, depth)
+        tree = theta_sum_decomposition(pu.graph)
+        assert sorted(tree.summands) == expansion_summands(pu)
+        assert tree.replay() == pu.graph
 
 
 def test_essential_twin_requires_essential_vertex():
