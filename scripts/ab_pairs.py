@@ -8,10 +8,10 @@ PARENT and CHILD are the roots of two checkouts. Each pair runs
 even-numbered pairs and the child first in odd-numbered ones, and reads the
 JSON object that ends the run's output. For every end-to-end metric of
 BENCHMARK.json it prints the median and quartiles of each side, and the
-pairs the child won (ties count as lost). It also prints each run's
-``failed`` count. Every run lasts ``run_seconds`` of BENCHMARK.json. The
-checkouts are only read, apart from what ``perfbench/run.py`` itself
-leaves in them.
+pairs the child won (ties count as lost). It also prints, pair by pair,
+each run's ``failed`` count and every end-to-end metric. Every run lasts
+``run_seconds`` of BENCHMARK.json. The checkouts are only read, apart from
+what ``perfbench/run.py`` itself leaves in them.
 """
 
 from __future__ import annotations
@@ -58,7 +58,11 @@ def main(argv=None) -> int:
             pair[side] = run_bench(getattr(args, side), args.workload, args.seed, seconds)
         runs.append(pair)
         print(f"pair {i + 1}/{args.pairs} ({order[0]} first): failed "
-              f"{pair['parent']['failed']} / {pair['child']['failed']}", flush=True)
+              f"{pair['parent']['failed']} / {pair['child']['failed']}; "
+              + ", ".join(f"{m} {pair['parent']['metrics'][m]['value']:.4g} / "
+                          f"{pair['child']['metrics'][m]['value']:.4g}"
+                          for m in (spec["name"] for spec in bench["end_to_end"])),
+              flush=True)
 
     print(f"\n{args.workload}, seed {args.seed}, {args.pairs} pairs of {seconds:g} s runs")
     print(f"{'metric':<14}{'parent q1 / median / q3':>34}{'child q1 / median / q3':>34}  won")

@@ -7,7 +7,8 @@ and that replaying the recorded splits reproduces the graph cell-for-cell.
 
 With --scaling it instead prints the decomposition time of one sum of 16,
 32, 64, 128 and 256 summands (random_theta_sum, seeded with the count), and
-checks each replay:
+checks each replay. The last column times the twin-pair census _twin_pairs
+alone, which the decomposition runs once, on the same sum:
 
     PYTHONPATH=src python3 scripts/theta_sum_experiment.py --scaling
 """
@@ -20,7 +21,7 @@ import time
 sys.path.insert(0, "tests")
 from generators import random_theta_sum  # noqa: E402
 
-from tog.twin_theta import theta_sum_decomposition  # noqa: E402
+from tog.twin_theta import _twin_pairs, theta_sum_decomposition  # noqa: E402
 
 SCALING_COUNTS = (16, 32, 64, 128, 256)
 
@@ -39,7 +40,11 @@ def main():
             elapsed = time.perf_counter() - t0
             assert sorted(tree.summands) == sizes
             assert tree.replay() == g, "replay did not reproduce the input graph"
-            print(f"{count:4d} summands  {len(g.edges):5d} edges  {elapsed:8.3f} s")
+            t0 = time.perf_counter()
+            _twin_pairs(g)
+            census = time.perf_counter() - t0
+            print(f"{count:4d} summands  {len(g.edges):5d} edges  {elapsed:8.3f} s"
+                  f"  census {census:8.3f} s")
         return
 
     rng = random.Random(args.seed)

@@ -288,11 +288,12 @@ def _site_pieces(site: Site, nl: str) -> tuple[str, str, str]:
 
 
 class _Template:
-    """What every copy of a component shares, built once per (system,
-    resolution): the id suffixes that _add_copy stamps onto a node id (each
-    edge with the indices of its ends in vertices), and the sites in frontier
-    order, keyed by vertex or by (edge, schedule index), each as (site with
-    no node, its _site_pieces as a frontier entry, and as a tree via)."""
+    """What every copy of a component shares, built on first use once per
+    init and shared by every union expanded from that init's union: the id
+    suffixes that _add_copy stamps onto a node id (each edge with the indices
+    of its ends in vertices), and the sites in frontier order, keyed by
+    vertex or by (edge, schedule index), each as (site with no node, its
+    _site_pieces as a frontier entry, and as a tree via)."""
 
     def __init__(self, rcs: GraphicalConnectingSystem, comp: str, r: int):
         vs, es = rcs.component_cells(comp)
@@ -647,15 +648,21 @@ def project(deep: PartialUnion, shallow: PartialUnion) -> dict[tuple, CellTarget
     locus_cache: dict[str, CellTarget] = {}
 
     def branch_locus(node: str) -> CellTarget:
-        """The shallow locus where the collapsed branch through node attaches."""
-        if node not in locus_cache:
+        """The shallow locus where the collapsed branch through node attaches,
+        found by walking up, not by recursion: a closure that calls itself
+        holds itself, and with it both unions, in a reference cycle."""
+        path = []
+        while node not in locus_cache:
             info = deep.nodes[node]
             if info.parent is None:
                 raise SurgeryError(f"node {node} is not below the shallow tree")
             if info.parent in shallow.nodes:
                 locus_cache[node] = _resolve_site_locus(shallow, info.via)
             else:
-                locus_cache[node] = branch_locus(info.parent)
+                path.append(node)
+                node = info.parent
+        for n in path:
+            locus_cache[n] = locus_cache[node]
         return locus_cache[node]
 
     # every deep edge is one arc of its node's chain (the PartialUnion invariant)

@@ -16,25 +16,25 @@ essential vertex iff at most one arc out of x does not end at y, and a peel
 is chosen by walking arcs. A split at {x, y} cuts off a connected piece whose
 only essential vertices are x and y; it meets the remainder only at two cut
 points, which a join edge then connects. So the remainder's twin pairs are
-the old ones minus {x, y}. Only the split blows up.
+the old ones minus {x, y}. Nothing is blown up: the decomposition copies the
+input's incidence and edge tables once, and each split walks the piece it
+cuts off, deletes it from the tables and adds the remainder's halves of the
+two cut edges and its join edge, with the ids and collision checks of a
+blow-up at the midpoints of the cut edges.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from .multigraph import (
-    Interior,
     Multigraph,
     PointLocus,
     SurgeryError,
     Vertex,
-    blow_up,
     complement_components,
-    components,
     cut_counts,
     is_two_connected,
 )
@@ -186,17 +186,20 @@ class ThetaSumTree:
         }
 
 
-def _exits(g: Multigraph, x: str, y: str) -> list[str]:
+def _arc(links: dict, edges: dict, e: str, i: int) -> tuple[list[str], str]:
+    """The edges of the arc that leaves its start along end i of edge e and
+    runs through degree-2 vertices, and the vertex where it ends."""
+    path, w = [e], edges[e][1 - i]
+    while len(links[w]) == 2:
+        e, i = next((f, j) for f, j in links[w] if f != e)
+        path.append(e)
+        w = edges[e][1 - i]
+    return path, w
+
+
+def _exits(links: dict, edges: dict, x: str, y: str) -> list[str]:
     """The edges at x whose arcs through degree-2 vertices do not end at y."""
-    exits = []
-    for e, i in g.link(x):
-        f, w = e, g.ends(e)[1 - i]
-        while g.degree(w) == 2:
-            f, j = next((h, j) for h, j in g.link(w) if h != f)
-            w = g.ends(f)[1 - j]
-        if w != y:
-            exits.append(e)
-    return exits
+    return [e for e, i in links[x] if _arc(links, edges, e, i)[1] != y]
 
 
 def _unsplit(rec: SplitRecord, cpiece: Multigraph) -> Multigraph:
@@ -218,53 +221,66 @@ def _unsplit(rec: SplitRecord, cpiece: Multigraph) -> Multigraph:
     return Multigraph(vertices, edges)
 
 
-def _peel(g: Multigraph, pairs: list[tuple[str, str]], step: int):
+def _peel(links: dict, edges: dict, pairs: list[tuple[str, str]], step: int):
     """Split off the theta summand at the first of the twin pairs with at most
-    one essential complement component, which is dropped from pairs: its
-    size, its split record (None when g is that theta) and the remainder."""
+    one essential complement component, which is dropped from pairs. links and
+    edges, the remainder's incidence and edge tables, lose the summand's cells
+    and gain the remainder's halves of the cut edges and its join edge. Returns
+    the summand's size and its split record (None when the tables hold it)."""
     for n, (x, y) in enumerate(pairs):
-        x_exits = _exits(g, x, y)
+        x_exits = _exits(links, edges, x, y)
         if len(x_exits) <= 1:
             break
     else:
         raise SurgeryError("no essential twin pair with an inner component (not a twin graph?)")
     del pairs[n]
-    k = g.degree(x)
+    k = len(links[x])
     if not x_exits:
-        return k, None, g
+        return k, None
     # the edges at x and y leading into the essential component
-    y_exits = _exits(g, y, x)
+    y_exits = _exits(links, edges, y, x)
     if len(y_exits) != 1:
         raise SurgeryError("essential component not attached by a single edge")
     (e_x,), (e_y,) = x_exits, y_exits
     tjoin, cjoin = f"tj{step}", f"cj{step}"
     for e in (tjoin, cjoin):
-        if e in g._edges:
+        if e in edges:
             raise SurgeryError(f"id collision for edge {e!r}")
-    half = Fraction(1, 2)
-    rs = blow_up(g, [Interior(e_x, half), Interior(e_y, half)])
-    scomps = components(rs.graph)
-    swhere = {v: i for i, comp in enumerate(scomps) for v in comp}
-    theta_side = swhere[x]
-    if len(scomps) != 2:
-        raise SurgeryError("cutting the two arcs did not split the graph in two")
+    # the ids blow_up mints for cuts at 1/2, checked as it checks them
+    for e in sorted((e_x, e_y)):
+        for name, taken, kind in ((f"{e}@1_2t", links, "divisor vertex"),
+                                  (f"{e}@1_2h", links, "divisor vertex"),
+                                  (f"{e}.a0", edges, "edge"), (f"{e}.a1", edges, "edge")):
+            if name in taken:
+                raise SurgeryError(f"id collision for {kind} {name!r}")
 
-    tverts = {v for v in rs.graph.vertices if swhere[v] == theta_side}
-    cverts = set(rs.graph.vertices) - tverts
-    tedges = {e: ends for e, ends in rs.graph.edges.items() if ends[0] in tverts}
-    cedges = {e: ends for e, ends in rs.graph.edges.items() if ends[0] in cverts}
-
+    # the summand: the d - 1 arcs from x to y, then the halves of the cut edges
+    tedges = {f: edges[f] for e, i in links[x] if e != e_x for f in _arc(links, edges, e, i)[0]}
+    tverts = {v for ends in tedges.values() for v in ends}
+    for v in tverts:
+        del links[v]
+    for f in tedges:
+        del edges[f]
     divisor_pairs = {}  # per cut edge, its (theta-side, remainder-side) divisors
-    for e in (e_x, e_y):
-        side = {desc[1]: d for d, desc in rs.divisors[Interior(e, half)].items()}
-        t, h = side["tail"], side["head"]
-        divisor_pairs[e] = (t, h) if t in tverts else (h, t)
+    for v, e in ((x, e_x), (y, e_y)):
+        t, h = edges.pop(e)
+        halves = (f"{e}.a0", (t, f"{e}@1_2t")), (f"{e}.a1", (f"{e}@1_2h", h))
+        (tf, tends), (cf, cends) = halves if t == v else halves[::-1]
+        j = 1 if t == v else 0  # the end of e and of cf away from v
+        td, cd = tends[j], cends[1 - j]
+        tedges[tf], edges[cf] = tends, cends
+        tverts.add(td)
+        far = links[cends[j]]
+        far[far.index((e, j))] = (cf, j)
+        links[cd] = [(cf, 1 - j)]
+        divisor_pairs[e] = (td, cd)
     (tx, cx), (ty, cy) = divisor_pairs[e_x], divisor_pairs[e_y]
     tedges[tjoin] = (tx, ty)
-    cedges[cjoin] = (cx, cy)
+    edges[cjoin] = (cx, cy)
+    links[cx].append((cjoin, 0))
+    links[cy].append((cjoin, 1))
     tpiece = Multigraph(tverts, tedges)
-    cpiece = Multigraph(cverts, cedges)
-    return k, SplitRecord(k, (x, y), (e_x, e_y), tpiece, tjoin, cjoin, divisor_pairs), cpiece
+    return k, SplitRecord(k, (x, y), (e_x, e_y), tpiece, tjoin, cjoin, divisor_pairs)
 
 
 def theta_sum_decomposition(g: Multigraph) -> ThetaSumTree:
@@ -275,10 +291,12 @@ def theta_sum_decomposition(g: Multigraph) -> ThetaSumTree:
     if not essential_vertices(g):
         raise IsCircle("input is homeomorphic to the circle")
 
-    summands, records, current = [], [], g
+    links = {v: list(ends) for v, ends in g._incidence().items()}
+    edges = dict(g._edges)
+    summands, records = [], []
     while True:
-        k, rec, current = _peel(current, pairs, len(records))
+        k, rec = _peel(links, edges, pairs, len(records))
         summands.append(k)
         if rec is None:
-            return ThetaSumTree(summands, records, current)
+            return ThetaSumTree(summands, records, Multigraph(links, edges))
         records.append(rec)

@@ -13,6 +13,7 @@ from typing import Optional
 import networkx as nx
 
 from tog.multigraph import (
+    Interior,
     Multigraph,
     PointLocus,
     SurgeryError,
@@ -20,8 +21,18 @@ from tog.multigraph import (
     _complement,
     blow_up,
     components,
+    is_two_connected,
 )
 from tog.rcs import CellTarget, PartialUnion, Site, _resolve_site_locus, schedule_sites
+from tog.twin_theta import (
+    IsCircle,
+    NotTwinGraph,
+    SplitRecord,
+    ThetaSumTree,
+    _exits,
+    _twin_pairs,
+    essential_vertices,
+)
 from tog.vsystem import ConnectingVSystem, Line, _mirror, _vertex_profile
 
 
@@ -158,6 +169,68 @@ def peel_by_scan(g: Multigraph, twins: list[tuple[str, str]]):
             (target,) = ess
             return (x, y), (edge_into(g, root, target, x), edge_into(g, root, target, y))
     raise SurgeryError("no essential twin pair with an inner component (not a twin graph?)")
+
+
+def peel_by_blow_up(g: Multigraph, pairs: list[tuple[str, str]], step: int):
+    """One peel as a blow-up: the split at the first of the twin pairs that
+    passes the arc test cuts both exit edges at 1/2 with blow_up and reads
+    the summand off the components. Returns the summand's size, its split
+    record (None when g is that theta) and the remainder."""
+    for n, (x, y) in enumerate(pairs):
+        x_exits = _exits(g._incidence(), g._edges, x, y)
+        if len(x_exits) <= 1:
+            break
+    else:
+        raise SurgeryError("no essential twin pair with an inner component (not a twin graph?)")
+    del pairs[n]
+    k = g.degree(x)
+    if not x_exits:
+        return k, None, g
+    y_exits = _exits(g._incidence(), g._edges, y, x)
+    if len(y_exits) != 1:
+        raise SurgeryError("essential component not attached by a single edge")
+    (e_x,), (e_y,) = x_exits, y_exits
+    tjoin, cjoin = f"tj{step}", f"cj{step}"
+    for e in (tjoin, cjoin):
+        if e in g._edges:
+            raise SurgeryError(f"id collision for edge {e!r}")
+    half = Fraction(1, 2)
+    rs = blow_up(g, [Interior(e_x, half), Interior(e_y, half)])
+    scomps = components(rs.graph)
+    if len(scomps) != 2:
+        raise SurgeryError("cutting the two arcs did not split the graph in two")
+    tverts = next(comp for comp in scomps if x in comp)
+    cverts = set(rs.graph.vertices) - tverts
+    tedges = {e: ends for e, ends in rs.graph.edges.items() if ends[0] in tverts}
+    cedges = {e: ends for e, ends in rs.graph.edges.items() if ends[0] in cverts}
+    divisor_pairs = {}
+    for e in (e_x, e_y):
+        side = {desc[1]: d for d, desc in rs.divisors[Interior(e, half)].items()}
+        t, h = side["tail"], side["head"]
+        divisor_pairs[e] = (t, h) if t in tverts else (h, t)
+    (tx, cx), (ty, cy) = divisor_pairs[e_x], divisor_pairs[e_y]
+    tedges[tjoin] = (tx, ty)
+    cedges[cjoin] = (cx, cy)
+    tpiece = Multigraph(tverts, tedges)
+    record = SplitRecord(k, (x, y), (e_x, e_y), tpiece, tjoin, cjoin, divisor_pairs)
+    return k, record, Multigraph(cverts, cedges)
+
+
+def decomposition_by_blow_up(g: Multigraph) -> ThetaSumTree:
+    """theta_sum_decomposition with every split a blow-up of the whole
+    remainder and a components() call."""
+    pairs = _twin_pairs(g) if is_two_connected(g) else None
+    if pairs is None:
+        raise NotTwinGraph("input is not a twin graph")
+    if not essential_vertices(g):
+        raise IsCircle("input is homeomorphic to the circle")
+    summands, records, current = [], [], g
+    while True:
+        k, rec, current = peel_by_blow_up(current, pairs, len(records))
+        summands.append(k)
+        if rec is None:
+            return ThetaSumTree(summands, records, current)
+        records.append(rec)
 
 
 def scan_twin(g: Multigraph, x: str) -> Optional[str]:

@@ -85,3 +85,45 @@ def test_no_unread_private_definitions():
         return {str(p.relative_to(ROOT)): ast.parse(p.read_text(), str(p)) for p in paths}
 
     assert unread_private_definitions(parsed("src/tog"), [*parsed("tests").values()]) == []
+
+
+def self_reading_closures(tree: ast.Module) -> list[str]:
+    """outer.name of each function nested in a function that reads its own
+    name: the closure holds itself, so it and what it closes over stay alive
+    until the cycle collector runs."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    nested: dict[ast.AST, str] = {}
+    for outer in ast.walk(tree):
+        if isinstance(outer, functions):
+            for inner in ast.walk(outer):
+                if inner is not outer and isinstance(inner, functions):
+                    nested.setdefault(inner, f"{outer.name}.{inner.name}")
+    return [
+        name
+        for inner, name in nested.items()
+        if any(
+            isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load) and n.id == inner.name
+            for n in ast.walk(inner)
+        )
+    ]
+
+
+def test_self_reading_closure_scan():
+    tree = ast.parse(
+        "def top(n):\n    return top(n - 1)\n"
+        "def f():\n"
+        "    def walk(n):\n        return walk(n - 1)\n"
+        "    def g():\n        def h():\n            return h\n        return walk\n"
+        "    return g\n"
+        "class C:\n    def m(self):\n        return self.m()\n"
+    )
+    assert self_reading_closures(tree) == ["f.walk", "f.h"]
+
+
+def test_no_self_reading_closures():
+    found = [
+        f"{path.relative_to(ROOT)}: {name}"
+        for path in sorted((ROOT / "src/tog").rglob("*.py"))
+        for name in self_reading_closures(ast.parse(path.read_text(), str(path)))
+    ]
+    assert found == []

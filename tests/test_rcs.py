@@ -1,8 +1,10 @@
 """Tests for graphical connecting systems and the expansion engine."""
 
+import gc
 import json
 import random
 import warnings
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -272,6 +274,20 @@ def test_projection_collapses_branches_to_attachment_loci(refl3):
             assert ("vertex", target[1]) in shallow_cells
         elif target[0] == "interior":
             assert Fraction(0) < target[2] < Fraction(1)
+
+
+def test_project_leaves_no_reference_cycle(refl3):
+    # with the collector off, the deep union dies with its last reference
+    # only if nothing project made holds it in a cycle
+    deep, shallow = series(refl3, (3, 1))
+    alive = weakref.ref(deep)
+    gc.disable()
+    try:
+        project(deep, shallow)
+        del deep
+        assert alive() is None
+    finally:
+        gc.enable()
 
 
 with warnings.catch_warnings():

@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from generators import random_theta_sum, random_two_connected
-from oracles import inner_census_by_blow_up, peel_by_scan, scan_twin
+from oracles import decomposition_by_blow_up, inner_census_by_blow_up, peel_by_scan, scan_twin
 from tog.jsj_frontend import golden_racg1, synthesize
 from tog.multigraph import (
     Interior,
@@ -159,9 +159,10 @@ def test_arc_test_matches_blow_up_census(count, seed):
     # at most one complement component of twins {x, y} holds an essential
     # vertex iff at most one arc out of x does not end at y
     g, _ = random_theta_sum(random.Random(seed), count)
+    links, edges = g._incidence(), g._edges
     for x, y in _twin_pairs(g):
-        exits = _exits(g, x, y)
-        entries = (exits[0], *_exits(g, y, x)) if len(exits) == 1 else None
+        exits = _exits(links, edges, x, y)
+        entries = (exits[0], *_exits(links, edges, y, x)) if len(exits) == 1 else None
         assert (len(exits) <= 1, entries) == inner_census_by_blow_up(g, x, y)
 
 
@@ -169,13 +170,17 @@ def test_arc_test_matches_blow_up_census(count, seed):
 @given(st.integers(2, 32), st.integers(0, 10**6))
 def test_peel_matches_scan(count, seed):
     # at every peel, the pair and cut edges equal those of the scan that
-    # runs one union-find per candidate pair
+    # runs one union-find per candidate pair, and the tables edited in place
+    # stay the incidence of the remainder
     g, _ = random_theta_sum(random.Random(seed), count)
     pairs = _twin_pairs(g)
-    current, step = g, 0
+    links, edges = {v: list(ends) for v, ends in g._incidence().items()}, g.edges
+    step = 0
     while True:
+        current = Multigraph(links, edges)
+        assert {v: sorted(ends) for v, ends in links.items()} == current._incidence()
         pair, entries = peel_by_scan(current, list(pairs))
-        _, rec, current = _peel(current, pairs, step)
+        _, rec = _peel(links, edges, pairs, step)
         if rec is None:
             assert entries is None and pairs == []
             return
@@ -227,6 +232,56 @@ def test_renamed_edge_decomposes_or_reports_collision(count, seed, derived, data
     else:
         assert sorted(tree.summands) == sizes
         assert tree.replay() == renamed
+
+
+# every id a peel mints, for renaming an edge or a vertex of a theta sum
+MINTED_IDS = DERIVED_IDS + [lambda n, e: f"{e}.a1", lambda n, e: f"{e}@1_2h"]
+
+
+def renamed_theta_sum(rng: random.Random) -> Multigraph:
+    """A theta sum of 2-12 summands with one edge or vertex renamed to an id
+    that a peel mints, unless that id is taken."""
+    count = rng.randint(2, 12)
+    g, _ = random_theta_sum(rng, count)
+    edges = g.edges
+    new = rng.choice(MINTED_IDS)(rng.randrange(count - 1), rng.choice(g.edge_ids()))
+    if rng.random() < 0.5:
+        if new not in edges:
+            edges[new] = edges.pop(rng.choice(g.edge_ids()))
+        return Multigraph(g.vertices, edges)
+    if new in g.vertices:
+        return g
+    old = rng.choice(g.vertex_ids())
+    ids = {v: v for v in g.vertices} | {old: new}
+    return Multigraph(ids.values(), {e: (ids[t], ids[h]) for e, (t, h) in edges.items()})
+
+
+def decomposed(decompose, g: Multigraph):
+    """The tree's JSON, base and replay, or the error's type and text."""
+    try:
+        tree = decompose(g)
+    except SurgeryError as ex:
+        return type(ex), str(ex)
+    return tree.to_json_dict(), tree.base, tree.replay()
+
+
+INPUT_FAMILIES = {
+    "theta-sum": lambda rng: random_theta_sum(rng, rng.randint(2, 24))[0],
+    "two-connected": random_two_connected,
+    "renamed": renamed_theta_sum,
+}
+
+
+@settings(max_examples=80, deadline=timedelta(seconds=2))
+@given(st.sampled_from(sorted(INPUT_FAMILIES)), st.integers(0, 10**6))
+def test_decomposition_matches_blow_up_peel(family, seed):
+    # the in-place peel gives the blow-up peel's tree, base and replay, or
+    # its error, id collisions included
+    g = INPUT_FAMILIES[family](random.Random(seed))
+    expected = decomposed(decomposition_by_blow_up, g)
+    assert decomposed(theta_sum_decomposition, g) == expected
+    if family == "theta-sum":
+        assert expected[2] == g
 
 
 def expansion_summands(pu) -> list[int]:
