@@ -7,11 +7,11 @@ PARENT and CHILD are the roots of two checkouts. Each pair runs
 ``perfbench/run.py --trace 0`` once in each of them, the parent first in
 even-numbered pairs and the child first in odd-numbered ones, and reads the
 JSON object that ends the run's output. For every end-to-end metric of
-BENCHMARK.json it prints the median and quartiles of each side, and the
-pairs the child won (ties count as lost). It also prints, pair by pair,
-each run's ``failed`` count and every end-to-end metric. Every run lasts
-``run_seconds`` of BENCHMARK.json. The checkouts are only read, apart from
-what ``perfbench/run.py`` itself leaves in them.
+BENCHMARK.json it prints the median and quartiles of each side, the pairs
+the child won (ties count as lost) and a verdict (see ``verdict``). It also
+prints, pair by pair, each run's ``failed`` count and every end-to-end
+metric. Every run lasts ``run_seconds`` of BENCHMARK.json. The checkouts are
+only read, apart from what ``perfbench/run.py`` itself leaves in them.
 """
 
 from __future__ import annotations
@@ -37,6 +37,26 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
         return values[0], values[0], values[0]
     q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return q1, q2, q3
+
+
+def verdict(spec: dict, parent: list[float], child: list[float], won: int) -> str:
+    """"regressed" when the child's median is worse than the parent's by more
+    than the metric's bound (a fraction of the parent's median); "gain" when
+    the child won at least 9 in 10 pairs and the medians differ by more than
+    the parent's quartile spread; "unresolved" when that spread is wider than
+    the bound and not every child run beats every parent run; else "flat"."""
+    lower = spec["better"] == "lower"
+    p1, pm, p3 = quartiles(parent)
+    cm = quartiles(child)[1]
+    worse_by = (cm - pm if lower else pm - cm) / pm
+    if worse_by > spec["bound"]:
+        return "regressed"
+    if 10 * won >= 9 * len(parent) and -worse_by * pm > p3 - p1:
+        return "gain"
+    all_better = max(child) < min(parent) if lower else min(child) > max(parent)
+    if p3 - p1 > spec["bound"] * pm and not all_better:
+        return "unresolved"
+    return "flat"
 
 
 def main(argv=None) -> int:
@@ -65,14 +85,16 @@ def main(argv=None) -> int:
               flush=True)
 
     print(f"\n{args.workload}, seed {args.seed}, {args.pairs} pairs of {seconds:g} s runs")
-    print(f"{'metric':<14}{'parent q1 / median / q3':>34}{'child q1 / median / q3':>34}  won")
+    print(f"{'metric':<14}{'parent q1 / median / q3':>34}{'child q1 / median / q3':>34}"
+          "  won  verdict")
     for spec in bench["end_to_end"]:
         name, lower = spec["name"], spec["better"] == "lower"
         parent = [r["parent"]["metrics"][name]["value"] for r in runs]
         child = [r["child"]["metrics"][name]["value"] for r in runs]
         won = sum((c < p) if lower else (c > p) for p, c in zip(parent, child))
         cells = ["{:>10.4g} /{:>10.4g} /{:>10.4g}".format(*quartiles(v)) for v in (parent, child)]
-        print(f"{name:<14}{cells[0]:>34}{cells[1]:>34}  {won}/{len(runs)}")
+        print(f"{name:<14}{cells[0]:>34}{cells[1]:>34}  {won}/{len(runs)}"
+              f"  {verdict(spec, parent, child, won)}")
     return 0
 
 

@@ -242,14 +242,14 @@ def _cmd_rcs_analyze(args, cfg: Config) -> int:
 
 
 def _cmd_jsj_synth(args) -> int:
+    if not (args.golden or args.input):  # before paying for the frontend's imports
+        raise _Failure(1, ["MalformedInput: provide an input file or --golden"])
     from . import jsj_frontend as _jsj
 
     if args.golden:
         inp = _jsj.golden_g2() if args.golden == "g2" else _jsj.golden_racg1()
-    elif args.input:
-        inp = _decode(_jsj.JsjInput.from_json_dict, args.input)
     else:
-        raise _Failure(1, ["MalformedInput: provide an input file or --golden"])
+        inp = _decode(_jsj.JsjInput.from_json_dict, args.input)
     sys_, ledger = _jsj.synthesize(inp)
     _emit_json(
         {

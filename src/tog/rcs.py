@@ -280,11 +280,15 @@ def _write_block(write: Callable[[str], object], brackets: str, items: Iterable[
 
 def _site_pieces(site: Site, nl: str) -> tuple[str, str, str]:
     """(pre, mid, post): the text of site.to_json() at indent nl, with any
-    depth and node in place of site's, is pre + depth + mid + node + post."""
-    text = json.dumps(dict(site.to_json(), depth=0, node=""), sort_keys=True, indent=2)
-    pre, rest = text.replace("\n", nl).split('"depth": 0', 1)  # the first key
-    mid, post = rest.split('"node": ""', 1)  # inside a string, a quote is escaped
-    return pre + '"depth": ', mid + '"node": ', post
+    depth and node in place of site's, is pre + depth + mid + node + post.
+    Spelled out: each encoder that json.dumps builds is a reference cycle."""
+    k, pre = "," + nl + "  ", "{" + nl + '  "depth": '
+    if site.kind == "V":
+        return pre, f'{k}"kind": "V"{k}"node": ', f'{k}"vertex": {_enc(site.vertex)}{nl}}}'
+    e, o = site.partner
+    return (pre, f'{k}"edge": {_enc(site.edge)}{k}"kind": "E"{k}"node": ',
+            f'{k}"partner": [{nl}    {_enc(e)},{nl}    {o}{nl}  ]'
+            f'{k}"position": "{_frac_str(site.position)}"{nl}}}')
 
 
 class _Template:
@@ -292,8 +296,8 @@ class _Template:
     init and shared by every union expanded from that init's union: the id
     suffixes that _add_copy stamps onto a node id (each edge with the indices
     of its ends in vertices), and the sites in frontier order, keyed by
-    vertex or by (edge, schedule index), each as (site with no node, its
-    _site_pieces as a frontier entry, and as a tree via)."""
+    vertex or by (edge, schedule index), each as (site with no node, and its
+    text with node and depth left out, as a frontier entry and as a tree via)."""
 
     def __init__(self, rcs: GraphicalConnectingSystem, comp: str, r: int):
         vs, es = rcs.component_cells(comp)
@@ -633,60 +637,41 @@ def project(deep: PartialUnion, shallow: PartialUnion) -> dict[tuple, CellTarget
     """
     if deep.resolution != shallow.resolution:  # arc ends are over one denominator
         raise SurgeryError("the two unions have different resolutions")
-    for node, info in shallow.nodes.items():
-        dinfo = deep.nodes.get(node)
-        if dinfo is None or dinfo.parent != info.parent:
-            raise SurgeryError("shallow tree is not a prefix of the deep tree")
+    if any(deep.nodes.get(node) != info for node, info in shallow.nodes.items()):
+        raise SurgeryError("shallow tree is not a prefix of the deep tree")
 
-    def containing_arc(node: str, e0: str, lo: int, hi: int) -> str:
-        for ce, a, b in shallow.arcs[(node, e0)]:
-            if a <= lo and hi <= b:
-                return ce
-        raise SurgeryError("deep arc not contained in any shallow arc")
-
-    cell_map: dict[tuple, CellTarget] = {}
-    locus_cache: dict[str, CellTarget] = {}
-
-    def branch_locus(node: str) -> CellTarget:
-        """The shallow locus where the collapsed branch through node attaches,
-        found by walking up, not by recursion: a closure that calls itself
-        holds itself, and with it both unions, in a reference cycle."""
-        path = []
-        while node not in locus_cache:
-            info = deep.nodes[node]
-            if info.parent is None:
-                raise SurgeryError(f"node {node} is not below the shallow tree")
-            if info.parent in shallow.nodes:
-                locus_cache[node] = _resolve_site_locus(shallow, info.via)
-            else:
-                path.append(node)
-                node = info.parent
-        for n in path:
-            locus_cache[n] = locus_cache[node]
-        return locus_cache[node]
-
-    # every deep edge is one arc of its node's chain (the PartialUnion invariant)
-    for (node, e0), chain in deep.arcs.items():
+    # the locus of each collapsed copy; a parent precedes its children in nodes
+    locus: dict[str, CellTarget] = {}
+    seam_locus: dict[str, CellTarget] = {}
+    for node, info in deep.nodes.items():
         if node in shallow.nodes:
-            for ce, lo, hi in chain:
-                cell_map[("edge", ce)] = ("edge", containing_arc(node, e0, lo, hi))
-        else:
-            locus = branch_locus(node)
+            continue
+        if info.parent not in locus and info.parent not in shallow.nodes:
+            raise SurgeryError(f"node {node} is not below the shallow tree")
+        locus[node] = locus.get(info.parent) or _resolve_site_locus(shallow, info.via)
+        seam_locus.update(dict.fromkeys(_seams(deep.rcs, info.via), locus[node]))
+    cell_map: dict[tuple, CellTarget] = {}
+    # every deep edge is one arc of its node's chain (the PartialUnion invariant);
+    # a surviving copy's chain refines its shallow chain, both in order
+    for (node, e0), chain in deep.arcs.items():
+        if node in locus:
             for ce, _, _ in chain:
-                cell_map[("edge", ce)] = locus
-    # a vertex the shallow union lacks is a copy vertex of a collapsed node,
-    # which names its node, or a seam of the gluing that created one
-    seam_node = {
-        seam: node
-        for node, info in deep.nodes.items()
-        if node not in shallow.nodes
-        for seam in _seams(deep.rcs, info.via)
-    }
+                cell_map[("edge", ce)] = locus[node]
+            continue
+        arcs, b = iter(shallow.arcs[(node, e0)]), 0
+        for ce, lo, hi in chain:
+            while b < hi:
+                sce, a, b = next(arcs)
+            if a > lo:
+                raise SurgeryError("deep arc not contained in any shallow arc")
+            cell_map[("edge", ce)] = ("edge", sce)
+    # a vertex the shallow union lacks is a seam of the gluing that created a
+    # collapsed copy, or a copy vertex of one, which names its node
     for v in deep.vertices:  # keys reuse deep's id strings
         if v in shallow.vertices:
             cell_map[("vertex", v)] = ("vertex", v)
         else:
-            cell_map[("vertex", v)] = branch_locus(seam_node.get(v) or v.split("|", 1)[0])
+            cell_map[("vertex", v)] = seam_locus.get(v) or locus[v.split("|", 1)[0]]
     return cell_map
 
 
@@ -696,17 +681,12 @@ def compose_cell_maps(
     """Compose deep->mid (inner) with mid->shallow (outer)."""
     out: dict[tuple, CellTarget] = {}
     for cell, target in inner.items():
-        if target[0] == "vertex":
-            out[cell] = outer[("vertex", target[1])]
-        elif target[0] == "edge":
-            out[cell] = outer[("edge", target[1])]
+        if target[0] != "interior":  # ("vertex", id) and ("edge", id) are keys of outer
+            out[cell] = outer[target]
         else:
             _, e, pos = target
             t2 = outer[("edge", e)]
-            if t2[0] == "edge":
-                out[cell] = ("interior", t2[1], pos)
-            else:
-                out[cell] = t2
+            out[cell] = ("interior", t2[1], pos) if t2[0] == "edge" else t2
     return out
 
 
@@ -781,14 +761,9 @@ def analyze_point(
         tgt = resolve_locus(pu, *locus)
         entry = {"target": tgt, "degree": pu.graph.degree(tgt[1]) if tgt[0] == "vertex" else 2}
         if pair_with is not None:
-            tgt2 = resolve_locus(pu, *pair_with)
-
-            def as_locus(t):
-                if t[0] == "vertex":
-                    return Vertex(t[1])
-                return Interior(t[1], t[2])
-
-            count, _ = complement_components(pu.graph, [as_locus(tgt), as_locus(tgt2)])
+            points = [Vertex(t[1]) if t[0] == "vertex" else Interior(t[1], t[2])
+                      for t in (tgt, resolve_locus(pu, *pair_with))]
+            count, _ = complement_components(pu.graph, points)
             entry["pair_components"] = count
         entries.append(entry)
     return PointTrace(locus, entries)

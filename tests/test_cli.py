@@ -485,6 +485,21 @@ def test_import_cli_leaves_networkx_unloaded(tmp_path):
     assert out.stdout.strip() == "[]"
 
 
+def test_jsj_synth_without_input_fails_before_loading_the_frontend():
+    probe = (
+        "import contextlib, io, sys\n"
+        "from tog.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['jsj', 'synth']) == 1\n"
+        "print(sorted(m for m in sys.modules if m.startswith('tog.')))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(tog.__file__).resolve().parent.parent))
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
+    )
+    assert out.stdout.strip() == "['tog.cli', 'tog.multigraph']"
+
+
 @pytest.mark.parametrize(
     "argv, lines",
     [

@@ -255,6 +255,7 @@ def test_projection_functoriality(refl3):
     assert compose_cell_maps(m20, m32) == m30
 
 
+@pytest.mark.filterwarnings("ignore::UserWarning")
 def test_projection_rejects_incompatible_trees(refl3):
     pu0 = init(refl3, 0, 2)
     pu1 = expand_to_depth(pu0, 1)
@@ -263,6 +264,15 @@ def test_projection_rejects_incompatible_trees(refl3):
     # arc ends are integers over a denominator set by the resolution
     with pytest.raises(SurgeryError, match="resolutions"):
         project(expand_to_depth(init(refl3, 0, 1), 1), pu0)
+    # the same node ids, glued at other cells: a relabeled system, another root
+    relabeled = reflection_system(theta_graph(3).relabel("x"))
+    racg = GOLDEN_SYSTEMS[1][0]
+    for deep, shallow in [
+        (expand_to_depth(pu0, 2), expand_to_depth(init(relabeled, 0, 2), 1)),
+        (expand_to_depth(init(racg, 0, 1), 2), expand_to_depth(init(racg, 1, 1), 1)),
+    ]:
+        with pytest.raises(SurgeryError, match="not a prefix"):
+            project(deep, shallow)
 
 
 def test_projection_collapses_branches_to_attachment_loci(refl3):
@@ -290,6 +300,20 @@ def test_project_leaves_no_reference_cycle(refl3):
         gc.enable()
 
 
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_expand_leaves_no_reference_cycle():
+    # the template texts of the sites are built without a json.dumps
+    # encoder, whose closures refer to each other
+    g2 = GOLDEN_SYSTEMS[0][0]
+    gc.collect()
+    gc.disable()
+    try:
+        expand(g2, 0, 2, 1)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 with warnings.catch_warnings():
     warnings.simplefilter("ignore")  # synthesize warns of omitted sharp orientations
     GOLDEN_SYSTEMS = [
@@ -307,14 +331,19 @@ systems = st.one_of(
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
 @settings(max_examples=40, deadline=None)
-@given(systems, st.integers(1, 2), st.integers(1, 2))
+@given(systems, st.integers(1, 2), st.integers(1, 3))
 def test_project_matches_incidence_oracle(system, r, depth):
+    # every depth pair d0 < d up to depth, as far as a cap of 1200 copies allows
     sys_, root = system
-    pus = [init(sys_, root, r)]
-    for d in range(1, depth + 1):
-        pus.append(expand_to_depth(pus[-1], d))
-    for shallow in pus[max(0, depth - 2) : depth]:  # depth pairs (D, D-1) and (D, D-2)
-        assert project(pus[depth], shallow) == project_by_incidence(pus[depth], shallow)
+    pus = [init(sys_, root, r, cap=1200)]
+    try:
+        for d in range(1, depth + 1):
+            pus.append(expand_to_depth(pus[-1], d))
+    except ResourceCapExceeded:
+        pass
+    for d, deep in enumerate(pus):
+        for shallow in pus[:d]:
+            assert project(deep, shallow) == project_by_incidence(deep, shallow)
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
