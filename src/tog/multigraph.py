@@ -8,8 +8,10 @@ along that orientation.
 The operations here are the building blocks for everything else in the
 package: blow-up at a set of point loci, the inverse blow-down, connected
 sums along divisor bijections, complement components, and one lowpoint
-DFS that counts cut points and decides 2-connectivity. Complement components
-come from one union-find over the graph's own tables, with no blow-up built.
+DFS that counts cut points and decides 2-connectivity. One minter,
+ids_in_use, makes every id of a blow-up, and one cutter, cut_edge, cuts each
+edge, for blow_up, complement counts and the theta-sum peel alike. Complement
+components come from the union-find of components, with no blow-up built.
 All operations are pure; all iteration orders are sorted so that outputs are
 deterministic.
 """
@@ -19,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from typing import Iterable, Mapping, Optional
+from typing import Container, Iterable, Mapping, Optional
 
 
 class SurgeryError(ValueError):
@@ -209,9 +211,11 @@ class BlowUpResult:
     aux_midpoints: frozenset[str]
 
 
-def components(g: Multigraph) -> list[frozenset[str]]:
-    """Connected components as a sorted list of vertex sets."""
-    parent: dict[str, str] = {v: v for v in g.vertices}
+def _roots(g: Multigraph, vertex_loci: Container[str], cut: Container[str]) -> dict[str, str]:
+    """One union-find (Tarjan 1975): each vertex of g outside vertex_loci maps
+    to its component's root, joined through every edge not in cut whose ends
+    both survive."""
+    parent = {v: v for v in g._vertices if v not in vertex_loci}
 
     def find(x: str) -> str:
         while parent[x] != x:
@@ -219,13 +223,19 @@ def components(g: Multigraph) -> list[frozenset[str]]:
             x = parent[x]
         return x
 
-    for v, w in g._edges.values():
-        rv, rw = find(v), find(w)
-        if rv != rw:
-            parent[rv] = rw
+    for e, (t, h) in g._edges.items():
+        if t in parent and h in parent and e not in cut:
+            rt, rh = find(t), find(h)
+            if rt != rh:
+                parent[rt] = rh
+    return {v: find(v) for v in parent}
+
+
+def components(g: Multigraph) -> list[frozenset[str]]:
+    """Connected components as a sorted list of vertex sets."""
     groups: dict[str, set[str]] = {}
-    for v in g.vertices:
-        groups.setdefault(find(v), set()).add(v)
+    for v, r in _roots(g, (), ()).items():
+        groups.setdefault(r, set()).add(v)
     return sorted((frozenset(s) for s in groups.values()), key=lambda s: min(s))
 
 
@@ -253,14 +263,45 @@ _ZERO, _ONE = Fraction(0), Fraction(1)
 _WHOLE = (_ZERO, _ONE)
 
 
-def _arc_ends(e: str, t: str, h: str, cuts: list[Fraction], vertex_loci: set[str], fresh) -> list[str]:
-    """The ends of the arcs that edge e = (t, h) splits into, in order along e:
-    a divisor id, passed through fresh, at each locus, and t or h elsewhere."""
-    ends = [fresh(f"{t}@{e}.0") if t in vertex_loci else t]
+def ids_in_use(vertices: Container[str], edges: Container[str]):
+    """The minter of blow-up ids: fresh(name, kind) returns name unless it is
+    a given id or minted before, of its namespace (vertex kinds share one;
+    "edge" has its own). Returns fresh and the set of vertex ids minted."""
+    minted: set[str] = set()
+    made: set[str] = set()  # new edge ids
+
+    def fresh(name: str, kind: str) -> str:
+        old, new = (edges, made) if kind == "edge" else (vertices, minted)
+        if name in old or name in new:
+            raise SurgeryError(f"id collision for {kind} {name!r}")
+        new.add(name)
+        return name
+
+    return fresh, minted
+
+
+def cut_edge(e: str, t: str, h: str, cuts: list[Fraction], vertex_loci: Container[str], fresh):
+    """Cut edge e = (t, h) at the sorted positions cuts and at its ends in
+    vertex_loci, minting through fresh the divisors along e, then arc by arc
+    its id and, for an isolated open arc, its .mid, .m0 and .m1. Returns the
+    arc ends in order along e (a divisor at each locus, else t or h) and the
+    arcs (id, (tail, head), (lo, hi), mid): id is e unless e is cut inside,
+    and mid is None unless both ends are divisors."""
+    ends = [fresh(f"{t}@{e}.0", "divisor vertex") if t in vertex_loci else t]
     for p in cuts:
-        ends += (fresh(f"{e}@{_pos_token(p)}t"), fresh(f"{e}@{_pos_token(p)}h"))
-    ends.append(fresh(f"{h}@{e}.1") if h in vertex_loci else h)
-    return ends
+        token = _pos_token(p)
+        ends += (fresh(f"{e}@{token}t", "divisor vertex"), fresh(f"{e}@{token}h", "divisor vertex"))
+    ends.append(fresh(f"{h}@{e}.1", "divisor vertex") if h in vertex_loci else h)
+    bounds, arcs = [_ZERO, *cuts, _ONE], []
+    for i in range(len(cuts) + 1):
+        arc = fresh(f"{e}.a{i}", "edge") if cuts else e
+        mid = None
+        if (i or t in vertex_loci) and (i < len(cuts) or h in vertex_loci):  # both ends divisors
+            mid = fresh(f"{arc}.mid", "auxiliary vertex")
+            fresh(f"{arc}.m0", "edge")
+            fresh(f"{arc}.m1", "edge")
+        arcs.append((arc, (ends[2 * i], ends[2 * i + 1]), (bounds[i], bounds[i + 1]), mid))
+    return ends, arcs
 
 
 def blow_up(g: Multigraph, loci: Iterable[PointLocus]) -> BlowUpResult:
@@ -269,7 +310,7 @@ def blow_up(g: Multigraph, loci: Iterable[PointLocus]) -> BlowUpResult:
     A vertex locus x becomes deg(x) divisor vertices, one per edge-end at x.
     An interior locus splits its edge into two arcs ending at two divisor
     vertices. Blow-ups at distinct loci commute; the result only depends on
-    the locus set. A new vertex id that is already taken raises.
+    the locus set. A new id that is already taken raises.
     """
     loci, vertex_loci, interior = _check_loci(g, loci)
     new_vertices: set[str] = set(g._vertices) - vertex_loci
@@ -277,14 +318,7 @@ def blow_up(g: Multigraph, loci: Iterable[PointLocus]) -> BlowUpResult:
     divisors: dict[PointLocus, dict[str, tuple]] = {x: {} for x in loci}
     arc_map: dict[str, tuple[str, tuple[Fraction, Fraction]]] = {}
     aux: set[str] = set()
-    divisor_ids: set[str] = set()
-    made: set[str] = set()  # new edge ids
-
-    def fresh(name: str, into=divisor_ids, kind="divisor vertex", old=new_vertices) -> str:
-        if name in old or name in into:
-            raise SurgeryError(f"id collision for {kind} {name!r}")
-        into.add(name)
-        return name
+    fresh, minted = ids_in_use(new_vertices, g._edges)
 
     for e, (t, h) in sorted(g._edges.items()):
         cuts = interior.get(e)
@@ -293,35 +327,25 @@ def blow_up(g: Multigraph, loci: Iterable[PointLocus]) -> BlowUpResult:
             arc_map[e] = (e, _WHOLE)
             continue
         cuts = sorted(cuts or ())
-        seg_vertices = _arc_ends(e, t, h, cuts, vertex_loci, fresh)
+        ends, arcs = cut_edge(e, t, h, cuts, vertex_loci, fresh)
         if t in vertex_loci:
-            divisors[Vertex(t)][seg_vertices[0]] = ("end", e, 0)
+            divisors[Vertex(t)][ends[0]] = ("end", e, 0)
         if h in vertex_loci:
-            divisors[Vertex(h)][seg_vertices[-1]] = ("end", e, 1)
+            divisors[Vertex(h)][ends[-1]] = ("end", e, 1)
         for j, p in enumerate(cuts):
-            divisors[Interior(e, p)][seg_vertices[2 * j + 1]] = ("side", "tail")
-            divisors[Interior(e, p)][seg_vertices[2 * j + 2]] = ("side", "head")
-        bounds = [_ZERO, *cuts, _ONE]
-        nseg = len(bounds) - 1
-        for i in range(nseg):
-            arc_id = e if nseg == 1 else fresh(f"{e}.a{i}", made, "edge", g._edges)
-            a, b = seg_vertices[2 * i], seg_vertices[2 * i + 1]
-            lo, hi = bounds[i], bounds[i + 1]
-            if a in divisor_ids and b in divisor_ids:
-                # isolated open arc: insert an auxiliary midpoint vertex
-                mid_v = fresh(f"{arc_id}.mid", new_vertices, "auxiliary vertex", divisor_ids)
+            divisors[Interior(e, p)][ends[2 * j + 1]] = ("side", "tail")
+            divisors[Interior(e, p)][ends[2 * j + 2]] = ("side", "head")
+        for arc, (a, b), (lo, hi), mid_v in arcs:
+            if mid_v is None:
+                new_edges[arc] = (a, b)
+                arc_map[arc] = (e, (lo, hi))
+            else:  # isolated open arc: two edges through its auxiliary midpoint
                 aux.add(mid_v)
                 mid = (lo + hi) / 2
-                m0, m1 = (fresh(f"{arc_id}.{m}", made, "edge", g._edges) for m in ("m0", "m1"))
-                new_edges[m0] = (a, mid_v)
-                new_edges[m1] = (mid_v, b)
-                arc_map[m0] = (e, (lo, mid))
-                arc_map[m1] = (e, (mid, hi))
-            else:
-                new_edges[arc_id] = (a, b)
-                arc_map[arc_id] = (e, (lo, hi))
+                new_edges[f"{arc}.m0"], new_edges[f"{arc}.m1"] = (a, mid_v), (mid_v, b)
+                arc_map[f"{arc}.m0"], arc_map[f"{arc}.m1"] = (e, (lo, mid)), (e, (mid, hi))
 
-    new_vertices |= divisor_ids
+    new_vertices |= minted
     graph = Multigraph(new_vertices, new_edges)
     return BlowUpResult(graph, divisors, arc_map, frozenset(aux))
 
@@ -462,53 +486,26 @@ def connected_sum(
 def _complement(g: Multigraph, loci: Iterable[PointLocus]) -> tuple[dict[str, str], dict[str, str]]:
     """The components of g minus the loci, read off g's own tables.
 
-    One union-find joins the surviving vertices through every edge that
-    touches no locus (Tarjan 1975). Returns (root, reach): root maps each
-    surviving vertex to its component's root, and reach maps each divisor id
-    that blow_up would create to the root its arc reaches, or to the mid id of
-    the isolated open arc it bounds. Loci and id collisions, of vertices and
-    of edges, raise as in blow_up.
+    Returns (root, reach): root maps each surviving vertex to its component's
+    root, and reach maps each divisor id that blow_up would create to the
+    root its arc reaches, or to the mid id of the isolated open arc it
+    bounds. The arcs and ids come from blow_up's cutter and minter, so loci
+    and id collisions, of vertices and of edges, raise as in blow_up.
     """
-    loci, vertex_loci, interior = _check_loci(g, loci)
-    parent = {v: v for v in g._vertices if v not in vertex_loci}
-
-    def find(x: str) -> str:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for e, (t, h) in g._edges.items():
-        if t in parent and h in parent and e not in interior:
-            rt, rh = find(t), find(h)
-            if rt != rh:
-                parent[rt] = rh
-    root = {v: find(v) for v in parent}
-    taken: set[str] = set()
-    made: set[str] = set()  # new edge ids
-
-    def fresh(name: str, into=taken, old=root) -> str:
-        if name in old or name in into:
-            blow_up(g, loci)  # raises the collision error
-        into.add(name)
-        return name
-
+    _, vertex_loci, interior = _check_loci(g, loci)
+    root = _roots(g, vertex_loci, interior)
+    fresh, _ = ids_in_use(root, g._edges)
     touched = {e for v in vertex_loci for e, _ in g._incidence()[v]}.union(interior)
     reach: dict[str, str] = {}
     for e in sorted(touched):
-        t, h = g._edges[e]
         cuts = sorted(interior.get(e, ()))
-        ends = _arc_ends(e, t, h, cuts, vertex_loci, fresh)
-        for i, (a, b) in enumerate(zip(ends[::2], ends[1::2])):
-            arc = fresh(f"{e}.a{i}", made, g._edges) if cuts else e
-            if a in root:
+        for _, (a, b), _, mid in cut_edge(e, *g._edges[e], cuts, vertex_loci, fresh)[1]:
+            if mid is not None:
+                reach[a] = reach[b] = mid
+            elif a in root:
                 reach[b] = root[a]
-            elif b in root:
+            else:
                 reach[a] = root[b]
-            else:  # an isolated open arc: two edges through its midpoint
-                reach[a] = reach[b] = fresh(f"{arc}.mid")
-                for half in ("m0", "m1"):
-                    fresh(f"{arc}.{half}", made, g._edges)
     return root, reach
 
 

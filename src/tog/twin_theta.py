@@ -19,14 +19,15 @@ points, which a join edge then connects. So the remainder's twin pairs are
 the old ones minus {x, y}. Nothing is blown up: the decomposition copies the
 input's incidence and edge tables once, and each split walks the piece it
 cuts off, deletes it from the tables and adds the remainder's halves of the
-two cut edges and its join edge, with the ids and collision checks of a
-blow-up at the midpoints of the cut edges.
+two cut edges and its join edge. The halves come from the edge cutter of
+blow_up, at the midpoints of the cut edges, and every new id from its minter.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
 from .multigraph import (
@@ -36,6 +37,8 @@ from .multigraph import (
     Vertex,
     complement_components,
     cut_counts,
+    cut_edge,
+    ids_in_use,
     is_two_connected,
 )
 
@@ -221,6 +224,9 @@ def _unsplit(rec: SplitRecord, cpiece: Multigraph) -> Multigraph:
     return Multigraph(vertices, edges)
 
 
+_HALF = Fraction(1, 2)
+
+
 def _peel(links: dict, edges: dict, pairs: list[tuple[str, str]], step: int):
     """Split off the theta summand at the first of the twin pairs with at most
     one essential complement component, which is dropped from pairs. links and
@@ -242,17 +248,10 @@ def _peel(links: dict, edges: dict, pairs: list[tuple[str, str]], step: int):
     if len(y_exits) != 1:
         raise SurgeryError("essential component not attached by a single edge")
     (e_x,), (e_y,) = x_exits, y_exits
-    tjoin, cjoin = f"tj{step}", f"cj{step}"
-    for e in (tjoin, cjoin):
-        if e in edges:
-            raise SurgeryError(f"id collision for edge {e!r}")
-    # the ids blow_up mints for cuts at 1/2, checked as it checks them
-    for e in sorted((e_x, e_y)):
-        for name, taken, kind in ((f"{e}@1_2t", links, "divisor vertex"),
-                                  (f"{e}@1_2h", links, "divisor vertex"),
-                                  (f"{e}.a0", edges, "edge"), (f"{e}.a1", edges, "edge")):
-            if name in taken:
-                raise SurgeryError(f"id collision for {kind} {name!r}")
+    fresh, _ = ids_in_use(links, edges)
+    tjoin, cjoin = fresh(f"tj{step}", "edge"), fresh(f"cj{step}", "edge")
+    # the two arcs of each cut edge, cut and minted as blow_up does, in sorted order
+    halves = {e: cut_edge(e, *edges[e], [_HALF], (), fresh)[1] for e in sorted((e_x, e_y))}
 
     # the summand: the d - 1 arcs from x to y, then the halves of the cut edges
     tedges = {f: edges[f] for e, i in links[x] if e != e_x for f in _arc(links, edges, e, i)[0]}
@@ -263,10 +262,8 @@ def _peel(links: dict, edges: dict, pairs: list[tuple[str, str]], step: int):
         del edges[f]
     divisor_pairs = {}  # per cut edge, its (theta-side, remainder-side) divisors
     for v, e in ((x, e_x), (y, e_y)):
-        t, h = edges.pop(e)
-        halves = (f"{e}.a0", (t, f"{e}@1_2t")), (f"{e}.a1", (f"{e}@1_2h", h))
-        (tf, tends), (cf, cends) = halves if t == v else halves[::-1]
-        j = 1 if t == v else 0  # the end of e and of cf away from v
+        j = 1 if edges.pop(e)[0] == v else 0  # the end of e and of cf away from v
+        (tf, tends, *_), (cf, cends, *_) = halves[e] if j else halves[e][::-1]
         td, cd = tends[j], cends[1 - j]
         tedges[tf], edges[cf] = tends, cends
         tverts.add(td)

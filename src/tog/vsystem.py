@@ -32,14 +32,16 @@ def head_vertex(g: Multigraph, eps: OrientedEdge) -> str:
     return h if eps[1] == 0 else t
 
 
-def head_end(eps: OrientedEdge) -> End:
-    return (eps[0], 1 if eps[1] == 0 else 0)
+def least_rotation(seq) -> tuple:
+    """The lexicographically least rotation of a nonempty sequence."""
+    seq = tuple(seq)
+    return min(seq[i:] + seq[:i] for i in range(len(seq)))
 
 
-def away_from_end(end: End) -> OrientedEdge:
-    """The oriented edge pointing away from the given end."""
-    e, i = end
-    return (e, 0) if i == 0 else (e, 1)
+def primitive_period(seq) -> int:
+    """The least d such that seq is its first d items repeated."""
+    seq, n = tuple(seq), len(seq)
+    return next((d for d in range(1, n) if n % d == 0 and seq == seq[:d] * (n // d)), n)
 
 
 @dataclass
@@ -148,9 +150,8 @@ def successor(vs: ConnectingVSystem, eps: OrientedEdge) -> OrientedEdge:
     alpha_v of it, an end at a(v); the line continues along that end's edge,
     oriented away from a(v).
     """
-    v = head_vertex(vs.graph, eps)
-    q = vs.alpha[v][head_end(eps)]
-    return away_from_end(q)
+    # (e, i) is both end i of e and e leaving it: eps arrives by end bar(eps)
+    return vs.alpha[head_vertex(vs.graph, eps)][bar(eps)]
 
 
 def predecessor(vs: ConnectingVSystem, eps: OrientedEdge) -> OrientedEdge:
@@ -183,11 +184,6 @@ def _mirror(orbit: tuple[OrientedEdge, ...]) -> tuple[OrientedEdge, ...]:
     return tuple(bar(x) for x in reversed(orbit))
 
 
-def _rotate_to_least(orbit: tuple[OrientedEdge, ...]) -> tuple[OrientedEdge, ...]:
-    i = orbit.index(min(orbit))
-    return orbit[i:] + orbit[:i]
-
-
 def lines(vs: ConnectingVSystem) -> list[Line]:
     """Successor orbits with mirror orbits merged; sorted by representative."""
     seen: set[OrientedEdge] = set()
@@ -204,11 +200,11 @@ def lines(vs: ConnectingVSystem) -> list[Line]:
         seen.update(orbit_t)
         mirror = _mirror(orbit_t)
         if set(mirror) & set(orbit_t):
-            out.append(Line(_rotate_to_least(orbit_t), orientable=False))
+            out.append(Line(least_rotation(orbit_t), orientable=False))
         else:
             seen.update(mirror)
             best = orbit_t if min(orbit_t) <= min(mirror) else mirror
-            out.append(Line(_rotate_to_least(best), orientable=True))
+            out.append(Line(least_rotation(best), orientable=True))
     return sorted(out, key=lambda ln: ln.orbit)
 
 
@@ -233,9 +229,7 @@ def _vertex_profile(
 def _profile_key(vs: ConnectingVSystem, orbit: tuple[OrientedEdge, ...]) -> tuple:
     """The least rotation of the primitive root of orbit's vertex profile."""
     prof = _vertex_profile(vs, orbit)
-    n = len(prof)
-    d = next(d for d in range(1, n + 1) if n % d == 0 and prof == prof[:d] * (n // d))
-    return min(prof[i:d] + prof[:i] for i in range(d))
+    return least_rotation(prof[:primitive_period(prof)])
 
 
 def lines_sharing_ends(vs: ConnectingVSystem) -> list[list[Line]]:

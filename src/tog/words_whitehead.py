@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .multigraph import Multigraph, SurgeryError, is_two_connected
-from .vsystem import ConnectingVSystem, End
+from .vsystem import ConnectingVSystem, End, least_rotation, primitive_period
 
 
 class EmptyAfterReduction(SurgeryError):
@@ -69,26 +69,8 @@ def _free_reduce(letters: Sequence[int]) -> list[int]:
     return out
 
 
-def _rotations(w: Sequence[int]):
-    n = len(w)
-    for i in range(n):
-        yield tuple(w[i:]) + tuple(w[:i])
-
-
-def _canonical_rotation(w: Sequence[int]) -> tuple[int, ...]:
-    return min(_rotations(w))
-
-
 def _inverse_word(w: Sequence[int]) -> tuple[int, ...]:
     return tuple(-x for x in reversed(w))
-
-
-def _is_periodic(w: Sequence[int]) -> bool:
-    n = len(w)
-    for d in range(1, n):
-        if n % d == 0 and tuple(w) == tuple(w[d:]) + tuple(w[:d]):
-            return True
-    return False
 
 
 @dataclass(frozen=True)
@@ -122,16 +104,14 @@ def cyclically_reduce(letters: Sequence[int], label: str = "") -> CyclicWord:
         w = _free_reduce(w)
     if not w:
         raise EmptyAfterReduction("word reduces to the empty word")
-    if _is_periodic(w):
+    if primitive_period(w) < len(w):
         raise PeriodicWord(f"word {word_str(w)} is a proper power")
-    return CyclicWord(_canonical_rotation(w), label)
+    return CyclicWord(least_rotation(w), label)
 
 
 def conjugate_up_to_inversion(w1: CyclicWord, w2: CyclicWord) -> bool:
-    c1 = _canonical_rotation(w1.letters)
-    return c1 == _canonical_rotation(w2.letters) or c1 == _canonical_rotation(
-        _inverse_word(w2.letters)
-    )
+    c1 = least_rotation(w1.letters)
+    return c1 == least_rotation(w2.letters) or c1 == least_rotation(_inverse_word(w2.letters))
 
 
 @dataclass
@@ -175,7 +155,7 @@ def _check_words(m: int, words: Sequence[CyclicWord]) -> None:
             len(w.letters) >= 2 and w.letters[0] == -w.letters[-1]
         ):
             raise InvalidWord(f"word {word_str(w.letters)} is not cyclically reduced")
-        if _is_periodic(w.letters):
+        if primitive_period(w.letters) < len(w.letters):
             raise PeriodicWord(f"word {word_str(w.letters)} is a proper power")
     for i in range(len(words)):
         for j in range(i + 1, len(words)):

@@ -19,6 +19,8 @@ from tog.multigraph import (
     Multigraph,
     SurgeryError,
     Vertex,
+    blow_up,
+    complement_components,
     complete_graph,
     theta_graph,
 )
@@ -282,6 +284,43 @@ def test_decomposition_matches_blow_up_peel(family, seed):
     assert decomposed(theta_sum_decomposition, g) == expected
     if family == "theta-sum":
         assert expected[2] == g
+
+
+def theta3_sum(renames: dict[str, str]) -> Multigraph:
+    """theta_3 # theta_3 with some vertex and edge ids renamed: the theta
+    graphs on u, w and on p, q, joined by the arcs u-s-p and w-t-q. Its
+    first split is at the twin pair (p, q), cutting f and g at 1/2."""
+    edges = {"a1": ("u", "w"), "a2": ("u", "w"), "x": ("u", "s"), "f": ("s", "p"),
+             "y": ("w", "t"), "g": ("t", "q"), "b1": ("p", "q"), "b2": ("p", "q")}
+    ids = {v: renames.get(v, v) for v in "uwpqst"}
+    edges = {renames.get(e, e): (ids[t], ids[h]) for e, (t, h) in edges.items()}
+    return Multigraph(ids.values(), edges)
+
+
+HALVES = [Interior("f", Fraction(1, 2)), Interior("g", Fraction(1, 2))]
+
+
+# several ids a blow-up or a split would mint are taken at once; the one
+# minted first is reported. The loci are None where no blow-up applies.
+@pytest.mark.parametrize("renames, loci, message", [
+    # the divisors along f are minted before its arcs
+    ({"s": "f@1_2t", "a1": "f.a0"}, HALVES, "id collision for divisor vertex 'f@1_2t'"),
+    # an isolated arc's id is minted before its midpoint
+    ({"t": "f.a1.mid", "a2": "f.a1"}, [Vertex("p"), Interior("f", Fraction(1, 2))],
+     "id collision for edge 'f.a1'"),
+    # a split mints its join edges before the halves of its cut edges
+    ({"a1": "cj0", "a2": "f.a0"}, None, "id collision for edge 'cj0'"),
+], ids=["divisor-before-arc", "arc-before-mid", "join-before-half"])
+def test_collisions_are_reported_in_minting_order(renames, loci, message):
+    g = theta3_sum(renames)
+    if loci is not None:
+        for surgery in (blow_up, complement_components):
+            with pytest.raises(SurgeryError) as ex:
+                surgery(g, loci)
+            assert str(ex.value) == message
+    with pytest.raises(SurgeryError) as ex:
+        theta_sum_decomposition(g)
+    assert str(ex.value) == message
 
 
 def expansion_summands(pu) -> list[int]:
