@@ -1,46 +1,46 @@
-"""Twin-pair analysis and decomposition of twin graphs into thick theta sums.
+"""Twin graphs and their decomposition into thick theta sums.
 
 A twin pair is a pair of points whose common degree equals the number of
 components of the complement of the pair. A twin graph is a 2-connected graph
 in which every point has a twin; away from the circle these are exactly the
 finite connected sums of thick theta graphs, and theta_sum_decomposition
-recovers the summand sizes by repeatedly splitting off a theta summand at an
-essential twin pair whose complement has at most one component containing
-essential vertices.
+recovers the summand sizes by splitting off one leaf of the connected-sum tree
+at a time.
 
-The essential twin pairs are found once, each by one lowpoint DFS. Each of
-the d components of the complement of twins {x, y} of degree d takes one of
-the d edge-ends at x, and it holds no essential vertex iff it is an arc from
-x to y through degree-2 vertices. So at most one component holds an
-essential vertex iff at most one arc out of x does not end at y, and a peel
-is chosen by walking arcs. A split at {x, y} cuts off a connected piece whose
-only essential vertices are x and y; it meets the remainder only at two cut
-points, which a join edge then connects. So the remainder's twin pairs are
-the old ones minus {x, y}. Nothing is blown up: the decomposition copies the
-input's incidence and edge tables once, and each split walks the piece it
-cuts off, deletes it from the tables and adds the remainder's halves of the
-two cut edges and its join edge. The halves come from the edge cutter of
-blow_up, at the midpoints of the cut edges, and every new id from its minter.
+An arc is a path that leaves an essential vertex and runs through degree-2
+vertices to the next essential vertex. A leaf pair is an essential vertex x of
+degree d and a vertex y of the same degree at which at least d - 1 of the arcs
+out of x end. In a 2-connected graph it is a twin pair: the complement of
+{x, y} is the d - 1 arcs between them and the rest, which is connected, holds
+an essential vertex and meets x and y by one arc each, their exits (there is
+no rest when all d arcs end at y, and the graph is a theta). A split at a
+leaf pair cuts both exits at the midpoints of their first edges and closes
+each side with a join edge. The remainder is again 2-connected, and its
+essential vertices have the twins they had, so it is a twin graph iff the
+graph was; a twin graph has a leaf pair, so a graph whose leaf pairs run out
+before one theta remains is not a twin graph.
+
+Each peel splits at the least leaf pair, in sorted order, from a heap. The
+arcs out of every essential vertex are walked once and kept; a split changes
+them only at x, y and the far ends a and b of the exits, so only a and b are
+walked again and tested for a new leaf pair. A vertex is in at most one leaf
+pair, and only the split at a leaf pair removes either of its vertices or
+changes an arc between them, so a leaf pair stays one until it is split.
+
+Nothing is blown up: the decomposition copies the input's incidence and edge
+tables once, and each split deletes the summand's arcs from them and adds the
+remainder's halves of the two cut edges and its join edge. The halves come
+from the edge cutter of blow_up, and every new id from its minter.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heappop, heappush
 from typing import Optional
 
-from .multigraph import (
-    Multigraph,
-    PointLocus,
-    SurgeryError,
-    Vertex,
-    complement_components,
-    cut_counts,
-    cut_edge,
-    ids_in_use,
-    is_two_connected,
-)
+from .multigraph import Multigraph, SurgeryError, cut_edge, ids_in_use, is_two_connected
 
 
 class NotTwinGraph(SurgeryError):
@@ -51,92 +51,27 @@ class IsCircle(SurgeryError):
     pass
 
 
-@dataclass(frozen=True)
-class TwinReport:
-    pair: tuple[PointLocus, PointLocus]
-    common_degree: Optional[int]
-    component_count: int
-    is_twin: bool
-
-
-def _locus_degree(g: Multigraph, x: PointLocus) -> int:
-    if isinstance(x, Vertex):
-        return g.degree(x.vertex)
-    return 2
-
-
-def is_twin_pair(g: Multigraph, x: PointLocus, y: PointLocus) -> TwinReport:
-    """Check whether two distinct points of a 2-connected graph are twins."""
-    if x == y:
-        raise SurgeryError("twin pair loci must be distinct")
-    if not is_two_connected(g):
-        raise SurgeryError("twin analysis requires a 2-connected graph")
-    dx, dy = _locus_degree(g, x), _locus_degree(g, y)
-    count, _ = complement_components(g, [x, y])
-    common = dx if dx == dy else None
-    return TwinReport((x, y), common, count, common is not None and common == count)
-
-
-def essential_twin(g: Multigraph, x: str) -> Optional[str]:
-    """The unique twin vertex of an essential vertex x, if one exists."""
-    if not is_two_connected(g):
-        raise SurgeryError("twin analysis requires a 2-connected graph")
-    if g.degree(x) < 3:
-        raise SurgeryError("essential_twin requires a vertex of degree >= 3")
-    return _twin_of(g, x)
-
-
-def _twin_of(g: Multigraph, x: str) -> Optional[str]:
-    """The twin y of an essential vertex x of a 2-connected graph g, if any.
-
-    The twin of a vertex of degree >= 3 must itself be a vertex y of the same
-    degree. The complement of {x, y} is (g - x) - y, counted by one cut-point
-    census of g - x, plus one open arc per edge between x and y.
-    """
-    links = g._incidence()
-    d = len(links[x])
-    _, pieces = cut_counts(g, x)
-    arcs = Counter(g.ends(e)[1 - i] for e, i in links[x])
-    found = sorted(y for y, n in pieces.items() if len(links[y]) == d and n + arcs[y] == d)
-    if len(found) > 1:
-        raise SurgeryError(f"vertex {x!r} has more than one twin: {found}")
-    return found[0] if found else None
-
-
 def essential_vertices(g: Multigraph) -> list[str]:
     return [v for v in g.vertex_ids() if g.degree(v) != 2]
-
-
-def _twin_pairs(g: Multigraph) -> Optional[list[tuple[str, str]]]:
-    """The essential twin pairs (x < y) of a 2-connected graph g, in sorted
-    order; None if some essential vertex has no twin.
-
-    An essential vertex has at most one twin: each complement component takes
-    one of the d edge-ends at x, so if y were also the twin of some z != x,
-    the component of g - {y, z} holding x would take d - 1 >= 2 ends at y.
-    So the twin of a vertex needs no search of its own.
-    """
-    pairs: list[tuple[str, str]] = []
-    paired: set[str] = set()
-    for x in essential_vertices(g):
-        if x in paired:
-            continue
-        y = _twin_of(g, x)
-        if y is None:
-            return None
-        paired.add(y)
-        pairs.append((x, y))  # y > x, or x would have been paired already
-    return pairs
 
 
 def is_twin_graph(g: Multigraph) -> bool:
     """True iff g is 2-connected and every essential vertex has a twin.
 
     Degree-2 points of a 2-connected graph always have twins, so only the
-    essential vertices need checking; those have degree >= 3, since a vertex
-    of degree 0 or 1 would be isolated or end a bridge.
+    essential vertices need checking. Leaf pairs peel g down to one theta iff
+    they do, whatever the names; so the peel runs on a copy renamed to v<i>
+    and e<i>, in which no id that a split mints is taken.
     """
-    return is_two_connected(g) and _twin_pairs(g) is not None
+    ids = {v: f"v{i}" for i, v in enumerate(g.vertex_ids())}
+    edges = {f"e{i}": (ids[t], ids[h]) for i, (t, h) in enumerate(g._edges.values())}
+    try:
+        theta_sum_decomposition(Multigraph(ids.values(), edges))
+    except NotTwinGraph:
+        return False
+    except IsCircle:
+        pass
+    return True
 
 
 @dataclass
@@ -189,20 +124,36 @@ class ThetaSumTree:
         }
 
 
-def _arc(links: dict, edges: dict, e: str, i: int) -> tuple[list[str], str]:
-    """The edges of the arc that leaves its start along end i of edge e and
-    runs through degree-2 vertices, and the vertex where it ends."""
-    path, w = [e], edges[e][1 - i]
-    while len(links[w]) == 2:
-        e, i = next((f, j) for f, j in links[w] if f != e)
-        path.append(e)
-        w = edges[e][1 - i]
-    return path, w
+def _arcs(links: dict, edges: dict, x: str) -> list[tuple[list[str], str]]:
+    """The arcs out of x, one per edge-end at x in link order: the edges of
+    the arc, from x on through degree-2 vertices, and the vertex where it ends."""
+    arcs = []
+    for e, i in links[x]:
+        path, w = [e], edges[e][1 - i]
+        while len(ends := links[w]) == 2:
+            e, i = ends[1] if ends[0][0] == e else ends[0]
+            path.append(e)
+            w = edges[e][1 - i]
+        arcs.append((path, w))
+    return arcs
 
 
-def _exits(links: dict, edges: dict, x: str, y: str) -> list[str]:
-    """The edges at x whose arcs through degree-2 vertices do not end at y."""
-    return [e for e, i in links[x] if _arc(links, edges, e, i)[1] != y]
+def _leaf_pair(links: dict, arcs: dict, x: str) -> Optional[tuple[str, str]]:
+    """The leaf pair at the essential vertex x, sorted, or None: x and the
+    vertex y of its degree d at which at least d - 1 of the arcs out of x end
+    (if d - 1 of d >= 3 arcs end at y, one of the first two does)."""
+    ends = [w for _, w in arcs[x]]
+    d = len(ends)
+    y = ends[0] if ends.count(ends[0]) >= d - 1 else ends[1]
+    if ends.count(y) < d - 1 or len(links[y]) != d:
+        return None
+    return (x, y) if x < y else (y, x)
+
+
+def _leaf_pairs(links: dict, edges: dict) -> tuple[dict, list[tuple[str, str]]]:
+    """The arcs out of each essential vertex, and the leaf pairs as a heap."""
+    arcs = {x: _arcs(links, edges, x) for x, ends in links.items() if len(ends) != 2}
+    return arcs, sorted({p for x in arcs if (p := _leaf_pair(links, arcs, x))})
 
 
 def _unsplit(rec: SplitRecord, cpiece: Multigraph) -> Multigraph:
@@ -227,34 +178,34 @@ def _unsplit(rec: SplitRecord, cpiece: Multigraph) -> Multigraph:
 _HALF = Fraction(1, 2)
 
 
-def _peel(links: dict, edges: dict, pairs: list[tuple[str, str]], step: int):
-    """Split off the theta summand at the first of the twin pairs with at most
-    one essential complement component, which is dropped from pairs. links and
+def _peel(links: dict, edges: dict, arcs: dict, heap: list, step: int):
+    """Split off the theta summand at the least leaf pair {x, y}. links and
     edges, the remainder's incidence and edge tables, lose the summand's cells
-    and gain the remainder's halves of the cut edges and its join edge. Returns
-    the summand's size and its split record (None when the tables hold it)."""
-    for n, (x, y) in enumerate(pairs):
-        x_exits = _exits(links, edges, x, y)
-        if len(x_exits) <= 1:
-            break
+    and gain the remainder's halves of the cut edges and its join edge; arcs
+    and heap, as _leaf_pairs gives them, follow. Returns the summand's size
+    and its split record (None when the tables hold it); raises NotTwinGraph
+    when no leaf pair is left."""
+    while heap:
+        x, y = heappop(heap)
+        if x in arcs:
+            break  # else a pair split before, pushed twice
     else:
-        raise SurgeryError("no essential twin pair with an inner component (not a twin graph?)")
-    del pairs[n]
-    k = len(links[x])
-    if not x_exits:
+        raise NotTwinGraph("input is not a twin graph")
+    ax, ay = arcs.pop(x), arcs.pop(y)
+    k = len(ax)
+    exits = [arc for arc in ax if arc[1] != y]
+    if not exits:
         return k, None
-    # the edges at x and y leading into the essential component
-    y_exits = _exits(links, edges, y, x)
-    if len(y_exits) != 1:
-        raise SurgeryError("essential component not attached by a single edge")
-    (e_x,), (e_y,) = x_exits, y_exits
+    # the exits of x and y, the arcs leading into the essential component
+    ((px, a),), ((py, b),) = exits, [arc for arc in ay if arc[1] != x]
+    e_x, e_y = px[0], py[0]
     fresh, _ = ids_in_use(links, edges)
     tjoin, cjoin = fresh(f"tj{step}", "edge"), fresh(f"cj{step}", "edge")
     # the two arcs of each cut edge, cut and minted as blow_up does, in sorted order
     halves = {e: cut_edge(e, *edges[e], [_HALF], (), fresh)[1] for e in sorted((e_x, e_y))}
 
     # the summand: the d - 1 arcs from x to y, then the halves of the cut edges
-    tedges = {f: edges[f] for e, i in links[x] if e != e_x for f in _arc(links, edges, e, i)[0]}
+    tedges = {f: edges[f] for path, w in ax if w == y for f in path}
     tverts = {v for ends in tedges.values() for v in ends}
     for v in tverts:
         del links[v]
@@ -276,24 +227,39 @@ def _peel(links: dict, edges: dict, pairs: list[tuple[str, str]], step: int):
     edges[cjoin] = (cx, cy)
     links[cx].append((cjoin, 0))
     links[cy].append((cjoin, 1))
+    # the exits now form one arc from a to b through the join edge
+    for v in (a, b):
+        arcs[v] = _arcs(links, edges, v)
+        if pair := _leaf_pair(links, arcs, v):
+            heappush(heap, pair)
     tpiece = Multigraph(tverts, tedges)
     return k, SplitRecord(k, (x, y), (e_x, e_y), tpiece, tjoin, cjoin, divisor_pairs)
 
 
 def theta_sum_decomposition(g: Multigraph) -> ThetaSumTree:
-    """Decompose a twin graph (not a circle) into thick theta summand sizes."""
-    pairs = _twin_pairs(g) if is_two_connected(g) else None
-    if pairs is None:
-        raise NotTwinGraph("input is not a twin graph")
-    if not essential_vertices(g):
-        raise IsCircle("input is homeomorphic to the circle")
+    """Decompose a twin graph (not a circle) into thick theta summand sizes.
 
+    A graph that is not a twin graph raises NotTwinGraph, even where a split
+    would first mint a taken id: the verdict on a collision comes from
+    is_twin_graph."""
+    if not is_two_connected(g):
+        raise NotTwinGraph("input is not a twin graph")
     links = {v: list(ends) for v, ends in g._incidence().items()}
     edges = dict(g._edges)
+    arcs, heap = _leaf_pairs(links, edges)
+    if not arcs:
+        raise IsCircle("input is homeomorphic to the circle")
     summands, records = [], []
-    while True:
-        k, rec = _peel(links, edges, pairs, len(records))
-        summands.append(k)
-        if rec is None:
-            return ThetaSumTree(summands, records, Multigraph(links, edges))
-        records.append(rec)
+    try:
+        while True:
+            k, rec = _peel(links, edges, arcs, heap, len(records))
+            summands.append(k)
+            if rec is None:
+                return ThetaSumTree(summands, records, Multigraph(links, edges))
+            records.append(rec)
+    except NotTwinGraph:
+        raise
+    except SurgeryError:
+        if not is_twin_graph(g):
+            raise NotTwinGraph("input is not a twin graph") from None
+        raise

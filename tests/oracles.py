@@ -7,6 +7,8 @@ oracle, and nowhere in ``tog``.
 from __future__ import annotations
 
 import math
+from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -20,7 +22,9 @@ from tog.multigraph import (
     Vertex,
     _complement,
     blow_up,
+    complement_components,
     components,
+    cut_counts,
     is_two_connected,
 )
 from tog.rcs import CellTarget, PartialUnion, Site, _resolve_site_locus, schedule_sites
@@ -29,8 +33,7 @@ from tog.twin_theta import (
     NotTwinGraph,
     SplitRecord,
     ThetaSumTree,
-    _exits,
-    _twin_pairs,
+    _arcs,
     essential_vertices,
 )
 from tog.vsystem import ConnectingVSystem, Line, _mirror, _vertex_profile
@@ -121,6 +124,86 @@ def complement_components_by_blow_up(
     return len(comps), {d: where[d] for dd in r.divisors.values() for d in dd}
 
 
+@dataclass(frozen=True)
+class TwinReport:
+    pair: tuple[PointLocus, PointLocus]
+    common_degree: Optional[int]
+    component_count: int
+    is_twin: bool
+
+
+def _locus_degree(g: Multigraph, x: PointLocus) -> int:
+    if isinstance(x, Vertex):
+        return g.degree(x.vertex)
+    return 2
+
+
+def is_twin_pair(g: Multigraph, x: PointLocus, y: PointLocus) -> TwinReport:
+    """Check whether two distinct points of a 2-connected graph are twins."""
+    if x == y:
+        raise SurgeryError("twin pair loci must be distinct")
+    if not is_two_connected(g):
+        raise SurgeryError("twin analysis requires a 2-connected graph")
+    dx, dy = _locus_degree(g, x), _locus_degree(g, y)
+    count, _ = complement_components(g, [x, y])
+    common = dx if dx == dy else None
+    return TwinReport((x, y), common, count, common is not None and common == count)
+
+
+def essential_twin(g: Multigraph, x: str) -> Optional[str]:
+    """The unique twin vertex of an essential vertex x, if one exists."""
+    if not is_two_connected(g):
+        raise SurgeryError("twin analysis requires a 2-connected graph")
+    if g.degree(x) < 3:
+        raise SurgeryError("essential_twin requires a vertex of degree >= 3")
+    return twin_by_cut_counts(g, x)
+
+
+def twin_by_cut_counts(g: Multigraph, x: str) -> Optional[str]:
+    """The twin y of an essential vertex x of a 2-connected graph g, if any.
+
+    The twin of a vertex of degree >= 3 must itself be a vertex y of the same
+    degree. The complement of {x, y} is (g - x) - y, counted by one cut-point
+    census of g - x, plus one open arc per edge between x and y.
+    """
+    links = g._incidence()
+    d = len(links[x])
+    _, pieces = cut_counts(g, x)
+    arcs = Counter(g.ends(e)[1 - i] for e, i in links[x])
+    found = sorted(y for y, n in pieces.items() if len(links[y]) == d and n + arcs[y] == d)
+    if len(found) > 1:
+        raise SurgeryError(f"vertex {x!r} has more than one twin: {found}")
+    return found[0] if found else None
+
+
+def twin_census(g: Multigraph) -> Optional[list[tuple[str, str]]]:
+    """The essential twin pairs (x < y) of a 2-connected graph g, in sorted
+    order, by one cut_counts DFS per pair; None if some essential vertex has
+    no twin.
+
+    An essential vertex has at most one twin: each complement component takes
+    one of the d edge-ends at x, so if y were also the twin of some z != x,
+    the component of g - {y, z} holding x would take d - 1 >= 2 ends at y.
+    So the twin of a vertex needs no search of its own.
+    """
+    pairs: list[tuple[str, str]] = []
+    paired: set[str] = set()
+    for x in essential_vertices(g):
+        if x in paired:
+            continue
+        y = twin_by_cut_counts(g, x)
+        if y is None:
+            return None
+        paired.add(y)
+        pairs.append((x, y))  # y > x, or x would have been paired already
+    return pairs
+
+
+def exits(g: Multigraph, x: str, y: str) -> list[str]:
+    """The first edges of the arcs out of x that do not end at y."""
+    return [path[0] for path, w in _arcs(g._incidence(), g._edges, x) if w != y]
+
+
 def inner_census_by_blow_up(g: Multigraph, x: str, y: str):
     """Which components of the blow-up at {x, y} hold essential vertices.
 
@@ -177,7 +260,7 @@ def peel_by_blow_up(g: Multigraph, pairs: list[tuple[str, str]], step: int):
     the summand off the components. Returns the summand's size, its split
     record (None when g is that theta) and the remainder."""
     for n, (x, y) in enumerate(pairs):
-        x_exits = _exits(g._incidence(), g._edges, x, y)
+        x_exits = exits(g, x, y)
         if len(x_exits) <= 1:
             break
     else:
@@ -186,7 +269,7 @@ def peel_by_blow_up(g: Multigraph, pairs: list[tuple[str, str]], step: int):
     k = g.degree(x)
     if not x_exits:
         return k, None, g
-    y_exits = _exits(g._incidence(), g._edges, y, x)
+    y_exits = exits(g, y, x)
     if len(y_exits) != 1:
         raise SurgeryError("essential component not attached by a single edge")
     (e_x,), (e_y,) = x_exits, y_exits
@@ -217,9 +300,10 @@ def peel_by_blow_up(g: Multigraph, pairs: list[tuple[str, str]], step: int):
 
 
 def decomposition_by_blow_up(g: Multigraph) -> ThetaSumTree:
-    """theta_sum_decomposition with every split a blow-up of the whole
-    remainder and a components() call."""
-    pairs = _twin_pairs(g) if is_two_connected(g) else None
+    """theta_sum_decomposition with the twin census first, for the verdict
+    and the pairs, and every split a blow-up of the whole remainder and a
+    components() call."""
+    pairs = twin_census(g) if is_two_connected(g) else None
     if pairs is None:
         raise NotTwinGraph("input is not a twin graph")
     if not essential_vertices(g):

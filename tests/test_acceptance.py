@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from generators import random_sum_pair, random_theta_sum, random_two_connected, random_vsystem
-from oracles import is_isomorphic
+from oracles import essential_twin, is_isomorphic
 from tog.jsj_frontend import golden_g2, golden_racg1, synthesize
 from tog.multigraph import complete_graph, is_two_connected, theta_graph
 from tog.rcs import (
@@ -23,7 +23,7 @@ from tog.rcs import (
     project,
     reflection_system,
 )
-from tog.twin_theta import essential_twin, theta_sum_decomposition
+from tog.twin_theta import theta_sum_decomposition
 from tog.vsystem import (
     bar,
     has_nonorientable_line,

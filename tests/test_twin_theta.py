@@ -6,13 +6,25 @@ import warnings
 from contextlib import contextmanager
 from datetime import timedelta
 from fractions import Fraction
+from typing import Optional
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from generators import random_theta_sum, random_two_connected
-from oracles import decomposition_by_blow_up, inner_census_by_blow_up, peel_by_scan, scan_twin
+from oracles import (
+    decomposition_by_blow_up,
+    essential_twin,
+    exits,
+    inner_census_by_blow_up,
+    is_twin_pair,
+    peel_by_scan,
+    scan_twin,
+    twin_by_cut_counts,
+    twin_census,
+)
+import tog.multigraph
 from tog.jsj_frontend import golden_racg1, synthesize
 from tog.multigraph import (
     Interior,
@@ -29,13 +41,12 @@ from tog.twin_theta import (
     IsCircle,
     NotTwinGraph,
     ThetaSumTree,
-    _exits,
+    _arcs,
+    _leaf_pair,
+    _leaf_pairs,
     _peel,
-    _twin_pairs,
-    essential_twin,
     essential_vertices,
     is_twin_graph,
-    is_twin_pair,
     theta_sum_decomposition,
 )
 
@@ -107,7 +118,7 @@ def test_theta_sum_round_trip_property(seed):
 
 
 def essential_twin_pairs(g: Multigraph) -> set[tuple[str, str]]:
-    """The essential twin pairs, each vertex checked by the public scan."""
+    """The essential twin pairs, each vertex checked by the census oracle."""
     pairs = set()
     for x in essential_vertices(g):
         y = essential_twin(g, x)
@@ -119,8 +130,9 @@ def essential_twin_pairs(g: Multigraph) -> set[tuple[str, str]]:
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10**6))
 def test_split_removes_only_its_twin_pair(seed):
-    # the decomposition computes the twin pairs once and drops each split's
-    # pair; recompute them on every intermediate graph of the replay
+    # a split removes its own twin pair and leaves every other essential
+    # vertex its twin; recompute the pairs on every intermediate graph of the
+    # replay
     g, _ = random_theta_sum(random.Random(seed))
     tree = theta_sum_decomposition(g)
     pairs = essential_twin_pairs(g)
@@ -142,13 +154,31 @@ def _scan_twin_graph(g: Multigraph) -> bool:
     return all(scan_twin(g, x) is not None for x in essential_vertices(g))
 
 
+def chorded_theta_sum(rng: random.Random, count: Optional[int] = None) -> Multigraph:
+    """A theta sum of count summands (2-5 if not given) plus one edge between
+    two of its vertices: mostly not a twin graph, though often with leaf pairs
+    left."""
+    g, _ = random_theta_sum(rng, count)
+    edges = g.edges
+    edges["chord"] = tuple(rng.sample(g.vertex_ids(), 2))
+    return Multigraph(g.vertices, edges)
+
+
+# graphs of count summands (2-5 if None), or 2-connected graphs of at most 12 vertices
+TWIN_FAMILIES = {
+    "theta-sum": lambda rng, count: random_theta_sum(rng, count)[0],
+    "two-connected": lambda rng, count: random_two_connected(rng),
+    "chorded": chorded_theta_sum,
+}
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.booleans(), st.integers(0, 10**6))
-def test_essential_twin_matches_blow_up_scan(theta_sum, seed):
-    # is_twin_graph searches no twin for a vertex already found as one; that
-    # holds because an essential vertex of a 2-connected graph has one twin
-    rng = random.Random(seed)
-    g = random_theta_sum(rng)[0] if theta_sum else random_two_connected(rng)
+@given(st.sampled_from(sorted(TWIN_FAMILIES)), st.integers(0, 10**6))
+def test_essential_twin_matches_blow_up_scan(family, seed):
+    # the census finds no twin for a vertex already found as one, because an
+    # essential vertex of a 2-connected graph has one twin; is_twin_graph
+    # peels leaf pairs and finds no twin at all
+    g = TWIN_FAMILIES[family](random.Random(seed), None)
     for x in g.vertex_ids():
         if g.degree(x) >= 3:
             assert _twin_or_error(essential_twin, g, x) == _twin_or_error(scan_twin, g, x)
@@ -156,38 +186,69 @@ def test_essential_twin_matches_blow_up_scan(theta_sum, seed):
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.integers(2, 32), st.integers(0, 10**6))
-def test_arc_test_matches_blow_up_census(count, seed):
-    # at most one complement component of twins {x, y} holds an essential
-    # vertex iff at most one arc out of x does not end at y
-    g, _ = random_theta_sum(random.Random(seed), count)
-    links, edges = g._incidence(), g._edges
-    for x, y in _twin_pairs(g):
-        exits = _exits(links, edges, x, y)
-        entries = (exits[0], *_exits(links, edges, y, x)) if len(exits) == 1 else None
-        assert (len(exits) <= 1, entries) == inner_census_by_blow_up(g, x, y)
+@given(st.sampled_from(sorted(TWIN_FAMILIES)), st.integers(2, 32), st.integers(0, 10**6))
+def test_arc_test_matches_blow_up_census(family, count, seed):
+    # a leaf pair is a twin pair, and twins {x, y} are a leaf pair iff at most
+    # one complement component holds an essential vertex; the exits are the
+    # edges at x and y into that component
+    g = TWIN_FAMILIES[family](random.Random(seed), count)
+    links = g._incidence()
+    arcs, heap = _leaf_pairs(links, g._edges)
+    assert sorted(arcs) == essential_vertices(g)
+    assert heap == sorted({p for x in arcs if (p := _leaf_pair(links, arcs, x))})
+    for x in arcs:
+        y, pair = twin_by_cut_counts(g, x), _leaf_pair(links, arcs, x)
+        if y is None:
+            assert pair is None
+            continue
+        assert pair in (None, tuple(sorted((x, y))))
+        x_exits = exits(g, x, y)
+        entries = (x_exits[0], *exits(g, y, x)) if pair and x_exits else None
+        assert (pair is not None, entries) == inner_census_by_blow_up(g, x, y)
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(2, 32), st.integers(0, 10**6))
 def test_peel_matches_scan(count, seed):
     # at every peel, the pair and cut edges equal those of the scan that
-    # runs one union-find per candidate pair, and the tables edited in place
-    # stay the incidence of the remainder
+    # runs one union-find per twin pair of the remainder; the tables edited in
+    # place stay the incidence of the remainder, the kept arcs its arcs, and
+    # the heap holds every leaf pair and, apart from pairs split before, no
+    # other pair
     g, _ = random_theta_sum(random.Random(seed), count)
-    pairs = _twin_pairs(g)
     links, edges = {v: list(ends) for v, ends in g._incidence().items()}, g.edges
+    arcs, heap = _leaf_pairs(links, edges)
     step = 0
     while True:
         current = Multigraph(links, edges)
         assert {v: sorted(ends) for v, ends in links.items()} == current._incidence()
-        pair, entries = peel_by_scan(current, list(pairs))
-        _, rec = _peel(links, edges, pairs, step)
+        assert arcs == {x: _arcs(links, edges, x) for x in essential_vertices(current)}
+        leaves = {p for x in arcs if (p := _leaf_pair(links, arcs, x))}
+        assert leaves == {(x, y) for x, y in heap if x in arcs}
+        pair, entries = peel_by_scan(current, twin_census(current))
+        _, rec = _peel(links, edges, arcs, heap, step)
         if rec is None:
-            assert entries is None and pairs == []
+            assert entries is None and arcs == {}
             return
         assert (rec.pair, rec.cut_edges) == (pair, entries)
         step += 1
+
+
+def test_decomposition_runs_one_cut_counts(monkeypatch):
+    # the 2-connectivity check is the only lowpoint DFS: the peel finds its
+    # own pairs and decides the verdict without a twin census
+    calls = []
+    kernel = tog.multigraph.cut_counts
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(tog.multigraph, "cut_counts", counted)
+    g, sizes = random_theta_sum(random.Random(64), 64)
+    tree = theta_sum_decomposition(g)
+    assert sorted(tree.summands) == sizes
+    assert len(calls) == 1
 
 
 @contextmanager
@@ -240,11 +301,11 @@ def test_renamed_edge_decomposes_or_reports_collision(count, seed, derived, data
 MINTED_IDS = DERIVED_IDS + [lambda n, e: f"{e}.a1", lambda n, e: f"{e}@1_2h"]
 
 
-def renamed_theta_sum(rng: random.Random) -> Multigraph:
-    """A theta sum of 2-12 summands with one edge or vertex renamed to an id
-    that a peel mints, unless that id is taken."""
+def renamed_theta_sum(rng: random.Random, chorded: bool = False) -> Multigraph:
+    """A theta sum of 2-12 summands, chorded or not, with one edge or vertex
+    renamed to an id that a peel mints, unless that id is taken."""
     count = rng.randint(2, 12)
-    g, _ = random_theta_sum(rng, count)
+    g = chorded_theta_sum(rng, count) if chorded else random_theta_sum(rng, count)[0]
     edges = g.edges
     new = rng.choice(MINTED_IDS)(rng.randrange(count - 1), rng.choice(g.edge_ids()))
     if rng.random() < 0.5:
@@ -268,17 +329,21 @@ def decomposed(decompose, g: Multigraph):
 
 
 INPUT_FAMILIES = {
-    "theta-sum": lambda rng: random_theta_sum(rng, rng.randint(2, 24))[0],
+    "theta-sum": lambda rng: random_theta_sum(rng, rng.randint(2, 64))[0],
     "two-connected": random_two_connected,
     "renamed": renamed_theta_sum,
+    "chorded": lambda rng: chorded_theta_sum(rng, rng.randint(2, 64)),
+    "renamed-chorded": lambda rng: renamed_theta_sum(rng, chorded=True),
 }
 
 
-@settings(max_examples=80, deadline=timedelta(seconds=2))
+@settings(max_examples=100, deadline=timedelta(seconds=5))
 @given(st.sampled_from(sorted(INPUT_FAMILIES)), st.integers(0, 10**6))
 def test_decomposition_matches_blow_up_peel(family, seed):
-    # the in-place peel gives the blow-up peel's tree, base and replay, or
-    # its error, id collisions included
+    # the leaf-pair peel gives the tree, base and replay, or the error, of
+    # the census and blow-up peel, which decides the verdict first: a graph
+    # that is not a twin graph reports so even where a split would first mint
+    # a taken id
     g = INPUT_FAMILIES[family](random.Random(seed))
     expected = decomposed(decomposition_by_blow_up, g)
     assert decomposed(theta_sum_decomposition, g) == expected
@@ -321,6 +386,20 @@ def test_collisions_are_reported_in_minting_order(renames, loci, message):
     with pytest.raises(SurgeryError) as ex:
         theta_sum_decomposition(g)
     assert str(ex.value) == message
+
+
+def test_verdict_comes_before_collision():
+    # the first split, at (p, q), mints the taken cj0. With the chord s-q, q
+    # has degree 4 and no twin; the first split is then at the one leaf pair
+    # (u, w) and would mint cj0 too, but the verdict comes first
+    g = theta3_sum({"a1": "cj0"})
+    with pytest.raises(SurgeryError) as ex:
+        theta_sum_decomposition(g)
+    assert type(ex.value) is SurgeryError and str(ex.value) == "id collision for edge 'cj0'"
+    edges = g.edges
+    edges["h"] = ("s", "q")
+    with pytest.raises(NotTwinGraph, match="^input is not a twin graph$"):
+        theta_sum_decomposition(Multigraph(g.vertices, edges))
 
 
 def expansion_summands(pu) -> list[int]:
