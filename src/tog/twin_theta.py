@@ -102,11 +102,22 @@ class ThetaSumTree:
     base: Multigraph
 
     def replay(self) -> Multigraph:
-        """Reverse the splits; reproduces the decomposed graph exactly."""
-        cur = self.base
+        """Reverse the splits; reproduces the decomposed graph exactly.
+
+        Every record, last first, is glued into one vertex set and one edge
+        table: its piece's cells go in, both join edges go out, and each cut
+        edge runs again from the tail of its first arc to the head of its
+        second in place of the two arcs and their divisors."""
+        vertices, edges = set(self.base._vertices), dict(self.base._edges)
         for rec in reversed(self.records):
-            cur = _unsplit(rec, cur)
-        return cur
+            vertices |= rec.tpiece._vertices
+            edges.update(rec.tpiece._edges)
+            del edges[rec.tjoin], edges[rec.cjoin]
+            for e in rec.cut_edges:
+                (t, dt), (dh, h) = edges.pop(f"{e}.a0"), edges.pop(f"{e}.a1")
+                vertices -= {dt, dh}
+                edges[e] = (t, h)
+        return Multigraph(vertices, edges)
 
     def to_json_dict(self) -> dict:
         return {
@@ -154,25 +165,6 @@ def _leaf_pairs(links: dict, edges: dict) -> tuple[dict, list[tuple[str, str]]]:
     """The arcs out of each essential vertex, and the leaf pairs as a heap."""
     arcs = {x: _arcs(links, edges, x) for x, ends in links.items() if len(ends) != 2}
     return arcs, sorted({p for x in arcs if (p := _leaf_pair(links, arcs, x))})
-
-
-def _unsplit(rec: SplitRecord, cpiece: Multigraph) -> Multigraph:
-    """Glue a theta-side piece back onto the remainder, reversing one split."""
-    vertices = set(rec.tpiece.vertices) | set(cpiece.vertices)
-    edges = {**rec.tpiece.edges, **cpiece.edges}
-    del edges[rec.tjoin]
-    del edges[rec.cjoin]
-    for e in rec.cut_edges:
-        a0, a1 = f"{e}.a0", f"{e}.a1"
-        t = edges[a0][0]
-        h = edges[a1][1]
-        dt, dh = edges[a0][1], edges[a1][0]
-        del edges[a0]
-        del edges[a1]
-        vertices.discard(dt)
-        vertices.discard(dh)
-        edges[e] = (t, h)
-    return Multigraph(vertices, edges)
 
 
 _HALF = Fraction(1, 2)

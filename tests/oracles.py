@@ -429,6 +429,17 @@ def frontier_by_bookkeeping(pu: PartialUnion) -> list[Site]:
     return sorted((s for s in made if s not in vias), key=sort_key)
 
 
+def expansion_summands(pu: PartialUnion) -> list[int]:
+    """The summand sizes of an expansion read off its tree: the edge count of
+    the component of the root and of each E-glued copy. A V-gluing of two
+    theta graphs at a vertex is again that theta graph, so it adds none."""
+    return sorted(
+        len(pu.rcs.component_cells(info.component)[1])
+        for info in pu.nodes.values()
+        if info.via is None or info.via.kind == "E"
+    )
+
+
 def expansion_dict(pu: PartialUnion) -> dict:
     """The expansion artifact of pu, built as a dict from the tree, the
     frontier and provenance(); write_canonical must write its canonical text."""

@@ -14,6 +14,7 @@ ROOT = Path(__file__).resolve().parent.parent
     ["expansion_growth.py", "--max-depth", "1"],
     ["line_census_survey.py", "--samples", "5"],
     ["theta_sum_experiment.py", "--trials", "3"],
+    pytest.param(["theta_sum_experiment.py", "--union", "2"], id="theta_sum_experiment.py-union"),
     ["ab_pairs.py", "--help"],
 ], ids=lambda argv: argv[0])
 def test_script_runs(argv):

@@ -17,6 +17,7 @@ from oracles import (
     decomposition_by_blow_up,
     essential_twin,
     exits,
+    expansion_summands,
     inner_census_by_blow_up,
     is_twin_pair,
     peel_by_scan,
@@ -25,6 +26,7 @@ from oracles import (
     twin_census,
 )
 import tog.multigraph
+import tog.twin_theta
 from tog.jsj_frontend import golden_racg1, synthesize
 from tog.multigraph import (
     Interior,
@@ -251,6 +253,28 @@ def test_decomposition_runs_one_cut_counts(monkeypatch):
     assert len(calls) == 1
 
 
+def test_replay_builds_one_graph_and_leaves_the_records(monkeypatch):
+    # replay glues every record into one pair of tables and builds the graph
+    # once, at the end; it reads each summand's piece and never mutates it
+    g, _ = random_theta_sum(random.Random(64), 64)
+    tree = theta_sum_decomposition(g)
+    pieces = [Multigraph(rec.tpiece.vertices, rec.tpiece.edges) for rec in tree.records]
+    built = []
+
+    class Counted(Multigraph):
+        __slots__ = ()
+
+        def __init__(self, vertices, edges):
+            built.append(len(edges))
+            super().__init__(vertices, edges)
+
+    monkeypatch.setattr(tog.twin_theta, "Multigraph", Counted)
+    first = tree.replay()
+    assert len(built) == 1
+    assert first == g and tree.replay() == g
+    assert [rec.tpiece for rec in tree.records] == pieces
+
+
 @contextmanager
 def time_limit(seconds: float):
     """Raise TimeoutError in the body once seconds have passed, so a hang fails."""
@@ -402,17 +426,6 @@ def test_verdict_comes_before_collision():
         theta_sum_decomposition(Multigraph(g.vertices, edges))
 
 
-def expansion_summands(pu) -> list[int]:
-    """The summand sizes of an expansion read off its tree: the edge count of
-    the component of the root and of each E-glued copy. A V-gluing of two
-    theta graphs at a vertex is again that theta graph, so it adds none."""
-    return sorted(
-        len(pu.rcs.component_cells(info.component)[1])
-        for info in pu.nodes.values()
-        if info.via is None or info.via.kind == "E"
-    )
-
-
 with warnings.catch_warnings():
     warnings.simplefilter("ignore")  # synthesize warns of omitted sharp orientations
     RACG1 = synthesize(golden_racg1())[0]
@@ -428,7 +441,7 @@ with warnings.catch_warnings():
 @pytest.mark.parametrize("r", [1, 2])
 def test_expansion_decomposes_into_its_copies(system, root, r):
     pu = init(system, root, r)
-    for depth in range(3):
+    for depth in range(4):
         pu = expand_to_depth(pu, depth)
         tree = theta_sum_decomposition(pu.graph)
         assert sorted(tree.summands) == expansion_summands(pu)
