@@ -599,10 +599,10 @@ def theta_graph(k: int, prefix: str = "") -> Multigraph:
     return Multigraph([u, w], {f"{prefix}e{i}": (u, w) for i in range(1, k + 1)})
 
 
-def complete_graph(n: int, prefix: str = "") -> Multigraph:
-    vs = [f"{prefix}v{i}" for i in range(1, n + 1)]
+def complete_graph(n: int) -> Multigraph:
+    vs = [f"v{i}" for i in range(1, n + 1)]
     edges = {}
     for i in range(n):
         for j in range(i + 1, n):
-            edges[f"{prefix}e{i + 1}{j + 1}"] = (vs[i], vs[j])
+            edges[f"e{i + 1}{j + 1}"] = (vs[i], vs[j])
     return Multigraph(vs, edges)

@@ -174,13 +174,13 @@ def validate(rcs: GraphicalConnectingSystem) -> list[str]:
     return out
 
 
-def reflection_system(g: Multigraph, name: str = "c0") -> GraphicalConnectingSystem:
+def reflection_system(g: Multigraph) -> GraphicalConnectingSystem:
     """The reflection connecting system: a = id, alpha = id, A = diagonal."""
-    pg = g.relabel(name + ":")
+    pg = g.relabel("c0:")
     a = {v: v for v in pg.vertices}
     alpha = {v: {end: end for end in pg.link(v)} for v in pg.vertices}
     A = {((e, o), (e, o)) for e in pg.edge_ids() for o in (0, 1)}
-    return GraphicalConnectingSystem.build([(name, g)], a, alpha, A)
+    return GraphicalConnectingSystem.build([("c0", g)], a, alpha, A)
 
 
 @dataclass(frozen=True, slots=True)

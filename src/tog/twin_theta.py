@@ -20,12 +20,13 @@ essential vertices have the twins they had, so it is a twin graph iff the
 graph was; a twin graph has a leaf pair, so a graph whose leaf pairs run out
 before one theta remains is not a twin graph.
 
-Each peel splits at the least leaf pair, in sorted order, from a heap. The
-arcs out of every essential vertex are walked once and kept; a split changes
-them only at x, y and the far ends a and b of the exits, so only a and b are
-walked again and tested for a new leaf pair. A vertex is in at most one leaf
-pair, and only the split at a leaf pair removes either of its vertices or
-changes an arc between them, so a leaf pair stays one until it is split.
+Each peel splits at the least leaf pair, in sorted order, from a heap. Each
+arc is walked once from each end, and only where it ends is kept. A split
+walks the d - 1 arcs from x to y; the exits become one arc from a to b, so a's
+arc to x now ends at b and b's arc to y at a, and only a and b are tested for
+a new leaf pair. A vertex is in at most one leaf pair, and only the split at a
+leaf pair removes either of its vertices or changes an arc between them, so a
+leaf pair stays one until it is split.
 
 Nothing is blown up: the decomposition copies the input's incidence and edge
 tables once, and each split deletes the summand's arcs from them and adds the
@@ -135,69 +136,66 @@ class ThetaSumTree:
         }
 
 
-def _arcs(links: dict, edges: dict, x: str) -> list[tuple[list[str], str]]:
-    """The arcs out of x, one per edge-end at x in link order: the edges of
-    the arc, from x on through degree-2 vertices, and the vertex where it ends."""
-    arcs = []
-    for e, i in links[x]:
-        path, w = [e], edges[e][1 - i]
-        while len(ends := links[w]) == 2:
-            e, i = ends[1] if ends[0][0] == e else ends[0]
-            path.append(e)
-            w = edges[e][1 - i]
-        arcs.append((path, w))
-    return arcs
+def _arc(links: dict, edges: dict, e: str, i: int) -> tuple[list[str], str]:
+    """The arc that leaves its first vertex by end i of edge e: its edges, on
+    through degree-2 vertices, and the vertex where it ends."""
+    path, w = [e], edges[e][1 - i]
+    while len(ends := links[w]) == 2:
+        e, i = ends[1] if ends[0][0] == e else ends[0]
+        path.append(e)
+        w = edges[e][1 - i]
+    return path, w
 
 
-def _leaf_pair(links: dict, arcs: dict, x: str) -> Optional[tuple[str, str]]:
+def _leaf_pair(far: dict, x: str) -> Optional[tuple[str, str]]:
     """The leaf pair at the essential vertex x, sorted, or None: x and the
     vertex y of its degree d at which at least d - 1 of the arcs out of x end
     (if d - 1 of d >= 3 arcs end at y, one of the first two does)."""
-    ends = [w for _, w in arcs[x]]
-    d = len(ends)
+    ends, d = far[x], len(far[x])
     y = ends[0] if ends.count(ends[0]) >= d - 1 else ends[1]
-    if ends.count(y) < d - 1 or len(links[y]) != d:
+    if ends.count(y) < d - 1 or len(far[y]) != d:
         return None
     return (x, y) if x < y else (y, x)
 
 
 def _leaf_pairs(links: dict, edges: dict) -> tuple[dict, list[tuple[str, str]]]:
-    """The arcs out of each essential vertex, and the leaf pairs as a heap."""
-    arcs = {x: _arcs(links, edges, x) for x, ends in links.items() if len(ends) != 2}
-    return arcs, sorted({p for x in arcs if (p := _leaf_pair(links, arcs, x))})
+    """Where the arcs out of each essential vertex end, and the leaf pairs as a heap."""
+    far = {x: [_arc(links, edges, *end)[1] for end in ends] for x, ends in links.items()
+           if len(ends) != 2}
+    return far, sorted({p for x in far if (p := _leaf_pair(far, x))})
 
 
 _HALF = Fraction(1, 2)
 
 
-def _peel(links: dict, edges: dict, arcs: dict, heap: list, step: int):
+def _peel(links: dict, edges: dict, far: dict, heap: list, step: int):
     """Split off the theta summand at the least leaf pair {x, y}. links and
     edges, the remainder's incidence and edge tables, lose the summand's cells
-    and gain the remainder's halves of the cut edges and its join edge; arcs
+    and gain the remainder's halves of the cut edges and its join edge; far
     and heap, as _leaf_pairs gives them, follow. Returns the summand's size
     and its split record (None when the tables hold it); raises NotTwinGraph
     when no leaf pair is left."""
     while heap:
         x, y = heappop(heap)
-        if x in arcs:
+        if x in far:
             break  # else a pair split before, pushed twice
     else:
         raise NotTwinGraph("input is not a twin graph")
-    ax, ay = arcs.pop(x), arcs.pop(y)
-    k = len(ax)
-    exits = [arc for arc in ax if arc[1] != y]
+    fx, fy = far.pop(x), far.pop(y)
+    k = len(fx)
+    exits = [(w, e) for w, (e, _) in zip(fx, links[x]) if w != y]
     if not exits:
         return k, None
     # the exits of x and y, the arcs leading into the essential component
-    ((px, a),), ((py, b),) = exits, [arc for arc in ay if arc[1] != x]
-    e_x, e_y = px[0], py[0]
+    ((a, e_x),), ((b, e_y),) = exits, [(w, e) for w, (e, _) in zip(fy, links[y]) if w != x]
     fresh, _ = ids_in_use(links, edges)
     tjoin, cjoin = fresh(f"tj{step}", "edge"), fresh(f"cj{step}", "edge")
     # the two arcs of each cut edge, cut and minted as blow_up does, in sorted order
     halves = {e: cut_edge(e, *edges[e], [_HALF], (), fresh)[1] for e in sorted((e_x, e_y))}
 
     # the summand: the d - 1 arcs from x to y, then the halves of the cut edges
-    tedges = {f: edges[f] for path, w in ax if w == y for f in path}
+    tedges = {f: edges[f] for w, end in zip(fx, links[x]) if w == y
+              for f in _arc(links, edges, *end)[0]}
     tverts = {v for ends in tedges.values() for v in ends}
     for v in tverts:
         del links[v]
@@ -210,8 +208,8 @@ def _peel(links: dict, edges: dict, arcs: dict, heap: list, step: int):
         td, cd = tends[j], cends[1 - j]
         tedges[tf], edges[cf] = tends, cends
         tverts.add(td)
-        far = links[cends[j]]
-        far[far.index((e, j))] = (cf, j)
+        ends = links[cends[j]]
+        ends[ends.index((e, j))] = (cf, j)
         links[cd] = [(cf, 1 - j)]
         divisor_pairs[e] = (td, cd)
     (tx, cx), (ty, cy) = divisor_pairs[e_x], divisor_pairs[e_y]
@@ -220,9 +218,10 @@ def _peel(links: dict, edges: dict, arcs: dict, heap: list, step: int):
     links[cx].append((cjoin, 0))
     links[cy].append((cjoin, 1))
     # the exits now form one arc from a to b through the join edge
+    far[a][far[a].index(x)] = b
+    far[b][far[b].index(y)] = a
     for v in (a, b):
-        arcs[v] = _arcs(links, edges, v)
-        if pair := _leaf_pair(links, arcs, v):
+        if pair := _leaf_pair(far, v):
             heappush(heap, pair)
     tpiece = Multigraph(tverts, tedges)
     return k, SplitRecord(k, (x, y), (e_x, e_y), tpiece, tjoin, cjoin, divisor_pairs)
@@ -238,13 +237,13 @@ def theta_sum_decomposition(g: Multigraph) -> ThetaSumTree:
         raise NotTwinGraph("input is not a twin graph")
     links = {v: list(ends) for v, ends in g._incidence().items()}
     edges = dict(g._edges)
-    arcs, heap = _leaf_pairs(links, edges)
-    if not arcs:
+    far, heap = _leaf_pairs(links, edges)
+    if not far:
         raise IsCircle("input is homeomorphic to the circle")
     summands, records = [], []
     try:
         while True:
-            k, rec = _peel(links, edges, arcs, heap, len(records))
+            k, rec = _peel(links, edges, far, heap, len(records))
             summands.append(k)
             if rec is None:
                 return ThetaSumTree(summands, records, Multigraph(links, edges))

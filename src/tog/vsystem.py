@@ -245,19 +245,18 @@ def lines_sharing_ends(vs: ConnectingVSystem) -> list[list[Line]]:
     return list(groups.values())
 
 
-def theta_standard_system(k: int, prefix: str = "") -> ConnectingVSystem:
+def theta_standard_system(k: int) -> ConnectingVSystem:
     """The standard system of the theta graph with k edges.
 
     The involution swaps the two vertices and the link bijections are
     tautological: each edge-end at one vertex maps to the other end of the
     same edge. Every line consists of appearances of a single edge.
     """
-    g = theta_graph(k, prefix)
-    u, w = prefix + "u", prefix + "w"
-    a = {u: w, w: u}
+    g = theta_graph(k)
+    a = {"u": "w", "w": "u"}
     alpha = {
-        u: {(e, 0): (e, 1) for e in g.edge_ids()},
-        w: {(e, 1): (e, 0) for e in g.edge_ids()},
+        "u": {(e, 0): (e, 1) for e in g.edge_ids()},
+        "w": {(e, 1): (e, 0) for e in g.edge_ids()},
     }
     return ConnectingVSystem(g, a, alpha)
 

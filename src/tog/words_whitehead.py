@@ -116,18 +116,16 @@ def conjugate_up_to_inversion(w1: CyclicWord, w2: CyclicWord) -> bool:
 
 @dataclass
 class WhiteheadGraph:
-    """A Whitehead graph with edge labels and occurrence bookkeeping.
+    """A Whitehead graph with edge labels.
 
     The graph's vertices are the 2m signed letters. edge_labels maps each
     edge to the label of the word that produced it (refined to (label, j) for
-    extended graphs); occurrence_map maps each edge to (word index, position)
-    of the consecutive-pair occurrence it came from.
+    extended graphs).
     """
 
     rank: int
     graph: Multigraph
     edge_labels: dict[str, object]
-    occurrence_map: dict[str, tuple[int, int]]
     words: list[CyclicWord]
 
 
@@ -174,7 +172,6 @@ def whitehead_graph(m: int, words: Sequence[CyclicWord]) -> WhiteheadGraph:
     vertices = [letter_str(x) for i in range(1, m + 1) for x in (i, -i)]
     edges: dict[str, tuple[str, str]] = {}
     labels: dict[str, object] = {}
-    occ: dict[str, tuple[int, int]] = {}
     for wi, w in enumerate(words):
         n = len(w.letters)
         for p in range(n):
@@ -182,8 +179,7 @@ def whitehead_graph(m: int, words: Sequence[CyclicWord]) -> WhiteheadGraph:
             e = f"w{wi}p{p}"
             edges[e] = (letter_str(-u), letter_str(v))
             labels[e] = w.label
-            occ[e] = (wi, p)
-    return WhiteheadGraph(m, Multigraph(vertices, edges), labels, occ, words)
+    return WhiteheadGraph(m, Multigraph(vertices, edges), labels, words)
 
 
 def whitehead_v_involution(W: WhiteheadGraph) -> ConnectingVSystem:
@@ -239,16 +235,14 @@ def extended_whitehead_graph(
 
     edges: dict[str, tuple[str, str]] = {}
     labels: dict[str, object] = {}
-    occ: dict[str, tuple[int, int]] = {}
     for e in base.graph.edge_ids():
         xi = base.edge_labels[e]
         for j in range(1, mult[xi]):
             ce = f"{e}x{j}"
             edges[ce] = base.graph.ends(e)
             labels[ce] = (xi, j)
-            occ[ce] = base.occurrence_map[e]
     graph = Multigraph(base.graph.vertices, edges)
-    ext = WhiteheadGraph(m, graph, labels, occ, list(words))
+    ext = WhiteheadGraph(m, graph, labels, list(words))
 
     def lift_copies(end: End, j: int) -> End:
         return (f"{end[0]}x{j}", end[1])

@@ -10,6 +10,7 @@ import random
 from fractions import Fraction
 from typing import Optional
 
+from tog.jsj_frontend import FlexibleOrbit, JsjInput, V2Rep
 from tog.multigraph import (
     Interior,
     Multigraph,
@@ -97,6 +98,24 @@ def random_theta_sum(
             d2 = list(reversed(d2))
         current = connected_sum(current, x1, nxt, x2, dict(zip(d1, d2))).graph
     return current, sorted(sizes)
+
+
+def random_valence_input(rng: random.Random) -> JsjInput:
+    """A random valence-only JSJ input: 1-4 flexible orbits, each orientable
+    at random, and 1-3 valence reps of valence 3-5. Every rep has one edge in
+    orbit y0, so the components are linked; orbits that no rep uses are
+    dropped. A sharp orientation is 0 or 1 on an orientable orbit and None
+    on the others."""
+    orbits = [FlexibleOrbit(f"y{i}", rng.random() < 0.5) for i in range(rng.randint(1, 4))]
+    reps = []
+    for r in range(rng.randint(1, 3)):
+        k = rng.randint(3, 5)
+        ys = [orbits[0]] + [rng.choice(orbits) for _ in range(k - 1)]
+        rng.shuffle(ys)
+        sharps = [(y.id, rng.randint(0, 1) if y.orientable else None) for y in ys]
+        reps.append(V2Rep(f"z{r}", k, sharps))
+    used = {y for rep in reps for y, _ in rep.edge_assignments}
+    return JsjInput([y for y in orbits if y.id in used], reps)
 
 
 def random_loopfree_graph(rng: random.Random, max_vertices: int = 8) -> Multigraph:

@@ -33,7 +33,6 @@ from tog.twin_theta import (
     NotTwinGraph,
     SplitRecord,
     ThetaSumTree,
-    _arcs,
     essential_vertices,
 )
 from tog.vsystem import ConnectingVSystem, Line, _mirror, _vertex_profile
@@ -200,8 +199,17 @@ def twin_census(g: Multigraph) -> Optional[list[tuple[str, str]]]:
 
 
 def exits(g: Multigraph, x: str, y: str) -> list[str]:
-    """The first edges of the arcs out of x that do not end at y."""
-    return [path[0] for path, w in _arcs(g._incidence(), g._edges, x) if w != y]
+    """The first edges of the arcs out of x that do not end at y. Each arc is
+    followed from x, out of every degree-2 vertex by its other edge-end, to
+    the essential vertex where it ends."""
+    firsts = []
+    for e, i in g.link(x):
+        f, j = e, i
+        while g.degree(w := g.ends(f)[1 - j]) == 2:
+            ((f, j),) = [end for end in g.link(w) if end != (f, 1 - j)]
+        if w != y:
+            firsts.append(e)
+    return firsts
 
 
 def inner_census_by_blow_up(g: Multigraph, x: str, y: str):

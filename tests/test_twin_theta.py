@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from generators import random_theta_sum, random_two_connected
+from generators import random_theta_sum, random_two_connected, random_valence_input
 from oracles import (
     decomposition_by_blow_up,
     essential_twin,
@@ -43,7 +43,7 @@ from tog.twin_theta import (
     IsCircle,
     NotTwinGraph,
     ThetaSumTree,
-    _arcs,
+    _arc,
     _leaf_pair,
     _leaf_pairs,
     _peel,
@@ -195,11 +195,11 @@ def test_arc_test_matches_blow_up_census(family, count, seed):
     # edges at x and y into that component
     g = TWIN_FAMILIES[family](random.Random(seed), count)
     links = g._incidence()
-    arcs, heap = _leaf_pairs(links, g._edges)
-    assert sorted(arcs) == essential_vertices(g)
-    assert heap == sorted({p for x in arcs if (p := _leaf_pair(links, arcs, x))})
-    for x in arcs:
-        y, pair = twin_by_cut_counts(g, x), _leaf_pair(links, arcs, x)
+    far, heap = _leaf_pairs(links, g._edges)
+    assert sorted(far) == essential_vertices(g)
+    assert heap == sorted({p for x in far if (p := _leaf_pair(far, x))})
+    for x in far:
+        y, pair = twin_by_cut_counts(g, x), _leaf_pair(far, x)
         if y is None:
             assert pair is None
             continue
@@ -214,23 +214,26 @@ def test_arc_test_matches_blow_up_census(family, count, seed):
 def test_peel_matches_scan(count, seed):
     # at every peel, the pair and cut edges equal those of the scan that
     # runs one union-find per twin pair of the remainder; the tables edited in
-    # place stay the incidence of the remainder, the kept arcs its arcs, and
-    # the heap holds every leaf pair and, apart from pairs split before, no
-    # other pair
+    # place stay the incidence of the remainder, the kept far ends those of
+    # fresh walks of its arcs, and the heap holds every leaf pair and, apart
+    # from pairs split before, no other pair
     g, _ = random_theta_sum(random.Random(seed), count)
     links, edges = {v: list(ends) for v, ends in g._incidence().items()}, g.edges
-    arcs, heap = _leaf_pairs(links, edges)
+    far, heap = _leaf_pairs(links, edges)
     step = 0
     while True:
         current = Multigraph(links, edges)
         assert {v: sorted(ends) for v, ends in links.items()} == current._incidence()
-        assert arcs == {x: _arcs(links, edges, x) for x in essential_vertices(current)}
-        leaves = {p for x in arcs if (p := _leaf_pair(links, arcs, x))}
-        assert leaves == {(x, y) for x, y in heap if x in arcs}
+        assert far == {
+            x: [_arc(links, edges, *end)[1] for end in links[x]]
+            for x in essential_vertices(current)
+        }
+        leaves = {p for x in far if (p := _leaf_pair(far, x))}
+        assert leaves == {(x, y) for x, y in heap if x in far}
         pair, entries = peel_by_scan(current, twin_census(current))
-        _, rec = _peel(links, edges, arcs, heap, step)
+        _, rec = _peel(links, edges, far, heap, step)
         if rec is None:
-            assert entries is None and arcs == {}
+            assert entries is None and far == {}
             return
         assert (rec.pair, rec.cut_edges) == (pair, entries)
         step += 1
@@ -446,6 +449,49 @@ def test_expansion_decomposes_into_its_copies(system, root, r):
         tree = theta_sum_decomposition(pu.graph)
         assert sorted(tree.summands) == expansion_summands(pu)
         assert tree.replay() == pu.graph
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")  # omitted sharps, resolution below partners
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 10**6))
+def test_valence_expansion_decomposes_into_its_copies(seed):
+    # the same property on the system that jsj synth builds from random
+    # valence-only input, from every root
+    system = synthesize(random_valence_input(random.Random(seed)))[0]
+    for root in range(len(system.names)):
+        for r in (1, 2):
+            pu = init(system, root, r)
+            for depth in range(3):
+                pu = expand_to_depth(pu, depth)
+                tree = theta_sum_decomposition(pu.graph)
+                assert sorted(tree.summands) == expansion_summands(pu)
+                assert tree.replay() == pu.graph
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        expand_to_depth(init(reflection_system(theta_graph(3)), 0, 2), 3).graph,
+        random_theta_sum(random.Random(64), 64)[0],
+    ],
+    ids=["theta3-union-d3", "sum-64"],
+)
+def test_each_arc_is_walked_from_each_end_and_once_more(monkeypatch, g):
+    # _leaf_pairs walks every arc from both its ends and a split walks only
+    # the arcs it deletes, whose edges are input edges, cut halves and one
+    # join edge per earlier split: about 3 steps per input edge. An arc
+    # walked again after every split would cost far more on long chains
+    steps = []
+    walk = tog.twin_theta._arc
+
+    def counted(*args):
+        path, w = walk(*args)
+        steps.append(len(path))
+        return path, w
+
+    monkeypatch.setattr(tog.twin_theta, "_arc", counted)
+    theta_sum_decomposition(g)
+    assert sum(steps) <= 4 * len(g.edges)
 
 
 def test_essential_twin_requires_essential_vertex():
